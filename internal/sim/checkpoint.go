@@ -20,8 +20,15 @@ import (
 // clock and forks it per query instead of replaying the whole submission
 // log from t=0 every time.
 //
-// All methods are safe for concurrent use. WhatIf holds the lock only while
-// cloning; concurrent forks then run independently.
+// A checkpoint created with Options.Observer set has an event tap: the
+// observer sees the decision events of the checkpoint's own run (creation
+// and AdvanceTo) — exactly the events strictly before the pause time, in
+// the order a cold run emits them — and nothing from forks, which stay
+// headless. The twin's baseline schedule is such a checkpoint: its tap is
+// the session's published event stream.
+//
+// All methods are safe for concurrent use. Fork and WhatIf hold the lock
+// only while cloning; forks then run independently.
 type Checkpoint struct {
 	mu      sync.Mutex
 	opt     Options
@@ -36,14 +43,17 @@ type Checkpoint struct {
 
 // RunToCheckpoint validates tr, runs it under opt up to (exclusively)
 // pauseAt, and returns the paused simulation. Fault injection cannot be
-// checkpointed (its RNG and per-job attempt state are not cloneable);
-// Observer, Metrics, and Shards are ignored — forks are headless replays.
-// The trace is copied; the caller's slice is not retained.
+// checkpointed (its RNG and per-job attempt state are not cloneable).
+// opt.Observer becomes the checkpoint's event tap (it is called with the
+// checkpoint's lock held, so it must not call back into the checkpoint);
+// Metrics and Shards are ignored. The trace is copied; the caller's slice
+// is not retained.
 func RunToCheckpoint(tr *trace.Trace, opt Options, pauseAt float64) (*Checkpoint, error) {
 	if opt.Faults.Enabled() {
 		return nil, fmt.Errorf("sim: checkpoints do not support fault injection")
 	}
-	opt.Observer = nil
+	tap := opt.Observer
+	opt.Observer = nil // forks inherit opt; only the checkpoint's own run is tapped
 	opt.Metrics = nil
 	opt.Shards = 0
 	if opt.BsldTau <= 0 {
@@ -82,6 +92,7 @@ func RunToCheckpoint(tr *trace.Trace, opt Options, pauseAt float64) (*Checkpoint
 	}
 	own := &trace.Trace{System: tr.System, Jobs: ck.jobs}
 	ck.s.reset(context.Background(), own, opt, cl, nParts)
+	ck.s.obsv = tap
 	if err := ck.s.runUntil(pauseAt); err != nil {
 		return nil, err
 	}
@@ -101,6 +112,15 @@ func (ck *Checkpoint) Len() int {
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
 	return len(ck.jobs)
+}
+
+// Jobs returns the checkpoint's trace as of this call. The slice is shared
+// and must be treated as read-only; Extend only appends beyond its length,
+// so it stays valid.
+func (ck *Checkpoint) Jobs() []trace.Job {
+	ck.mu.Lock()
+	defer ck.mu.Unlock()
+	return ck.jobs[:len(ck.jobs):len(ck.jobs)]
 }
 
 // Extend appends future arrivals to the checkpoint's trace. The jobs must
@@ -185,25 +205,50 @@ func (ck *Checkpoint) AdvanceTo(t float64) error {
 // checkpoint's current trace under its options. The checkpoint itself is
 // not advanced; forks are independent and may run concurrently.
 func (ck *Checkpoint) WhatIf(ctx context.Context) (*Result, error) {
+	f, err := ck.Fork()
+	if err != nil {
+		return nil, err
+	}
+	return f.Run(ctx)
+}
+
+// Fork is a headless copy of a paused checkpoint, taken by
+// Checkpoint.Fork and driven to completion by Run.
+type Fork struct {
+	s simulator
+}
+
+// Fork clones the paused simulation. The fork reflects the checkpoint as
+// of this call: a caller that must pin a fork to a state it also guards
+// (the twin's session lock) takes the fork under that lock and runs it
+// outside, unaffected by later Extend or AdvanceTo calls.
+func (ck *Checkpoint) Fork() (*Fork, error) {
+	ck.mu.Lock()
+	defer ck.mu.Unlock()
+	if ck.broken != nil {
+		return nil, ck.broken
+	}
+	f := &Fork{}
+	cloneSimulator(&f.s, &ck.s)
+	return f, nil
+}
+
+// Run drives the fork to completion and returns the full-trace Result,
+// identical to a cold run of the checkpoint's trace as of the fork. A nil
+// ctx means context.Background. A fork is meant to be run once.
+func (f *Fork) Run(ctx context.Context) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ck.mu.Lock()
-	if ck.broken != nil {
-		ck.mu.Unlock()
-		return nil, ck.broken
-	}
-	fork := &simulator{}
-	cloneSimulator(fork, &ck.s, ctx)
-	ck.mu.Unlock()
-
-	if err := fork.runUntil(math.Inf(1)); err != nil {
+	f.s.ctx = ctx
+	f.s.done = ctx.Done()
+	if err := f.s.runUntil(math.Inf(1)); err != nil {
 		return nil, err
 	}
-	if fork.started != fork.next {
-		return nil, fmt.Errorf("sim: only %d/%d jobs started (scheduler stuck)", fork.started, fork.next)
+	if f.s.started != f.s.next {
+		return nil, fmt.Errorf("sim: only %d/%d jobs started (scheduler stuck)", f.s.started, f.s.next)
 	}
-	return fork.result(nil)
+	return f.s.result(nil)
 }
 
 // cloneSimulator copies a paused materialized simulator into dst so the two
@@ -212,16 +257,15 @@ func (ck *Checkpoint) WhatIf(ctx context.Context) (*Result, error) {
 // every counter — is deep-copied; pure caches (score sort, profile, shadow,
 // backfill-scan memo, conservative plan) are dropped instead, which the
 // cache invariants already prove changes no scheduling decision, only
-// re-derivation work. dst must be fresh (zero) storage.
-func cloneSimulator(dst, src *simulator, ctx context.Context) {
+// re-derivation work. The event tap is not copied: forks are headless.
+// dst must be fresh (zero) storage; its context is set by the caller.
+func cloneSimulator(dst, src *simulator) {
 	dst.opt = src.opt
 	dst.jobs = src.jobs // read-only; Extend appends only beyond this header's len
 	dst.cl = src.cl.Clone()
 	dst.now = src.now
 	dst.next = src.next
 	dst.idxBase = 0
-	dst.ctx = ctx
-	dst.done = ctx.Done()
 	dst.met = src.met
 
 	dst.pendings = append([]pending(nil), src.pendings...)

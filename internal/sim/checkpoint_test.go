@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"testing"
 
 	"crosssched/internal/fault"
+	"crosssched/internal/obs"
 	"crosssched/internal/trace"
 )
 
@@ -189,4 +192,116 @@ func TestCheckpointRejectsFaults(t *testing.T) {
 	if _, err := RunToCheckpoint(tr, opt, 100); err == nil {
 		t.Fatal("checkpoint accepted fault injection")
 	}
+}
+
+// TestCheckpointTapMatchesRecorder pins the checkpoint's event tap. For
+// every policy x backfill on 1-4 partitions, a checkpoint is fed its log
+// in random Extend/AdvanceTo interleavings with forks in between; the
+// events its tap saw must equal, in order, the events strictly before the
+// final pause of a cold recorded run of the final log, and no fork may
+// emit to the tap.
+func TestCheckpointTapMatchesRecorder(t *testing.T) {
+	for parts := 1; parts <= 4; parts++ {
+		for _, pol := range Policies {
+			for _, bf := range Backfills {
+				parts, opt := parts, Options{Policy: pol, Backfill: bf}
+				t.Run(fmt.Sprintf("%dp/%s+%s", parts, pol, bf), func(t *testing.T) {
+					t.Parallel()
+					rng := rand.New(rand.NewPCG(uint64(parts), uint64(pol)<<8|uint64(bf)))
+					tapCheckpointRun(t, rng, parts, opt)
+				})
+			}
+		}
+	}
+}
+
+// tapCheckpointRun drives one randomized tapped checkpoint (see
+// TestCheckpointTapMatchesRecorder).
+func tapCheckpointRun(t *testing.T, rng *rand.Rand, parts int, opt Options) {
+	const perPart = 16
+	sys := trace.System{Name: "tap", Kind: trace.HPC, TotalCores: perPart * parts, VirtualClusters: parts}
+	var log []trace.Job
+	pause, last := 0.0, 0.0
+	batch := func() []trace.Job {
+		n := 1 + rng.IntN(20)
+		jobs := make([]trace.Job, n)
+		for i := range jobs {
+			if rng.IntN(3) > 0 { // ties on the pause and between arrivals
+				last = max(last, pause) + float64(rng.IntN(400))
+			}
+			run := float64(30 + rng.IntN(3000))
+			wall := 0.0
+			if rng.IntN(4) > 0 {
+				wall = run * (0.7 + rng.Float64()) // some jobs hit the limit
+			}
+			jobs[i] = trace.Job{
+				ID: len(log) + i, User: rng.IntN(7), Submit: max(last, pause), Wait: -1,
+				Run: run, Walltime: wall, Procs: 1 + rng.IntN(perPart), VC: rng.IntN(parts+1) - 1,
+				Status: trace.Passed,
+			}
+		}
+		log = append(log, jobs...)
+		return jobs
+	}
+
+	tap := &obs.Recorder{}
+	tapped := opt
+	tapped.Observer = tap
+	ck, err := RunToCheckpoint(&trace.Trace{System: sys, Jobs: batch()}, tapped, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 16; step++ {
+		switch rng.IntN(3) {
+		case 0:
+			if err := ck.Extend(batch()); err != nil {
+				t.Fatalf("step %d: extend: %v", step, err)
+			}
+		case 1:
+			to := pause + float64(rng.IntN(3000))
+			if rng.IntN(5) == 0 {
+				to = pause / 2 // not forward: a no-op
+			}
+			if err := ck.AdvanceTo(to); err != nil {
+				t.Fatalf("step %d: advance: %v", step, err)
+			}
+			pause = max(pause, to)
+		default:
+			before := len(tap.Events)
+			if _, err := ck.WhatIf(nil); err != nil {
+				t.Fatalf("step %d: fork: %v", step, err)
+			}
+			if len(tap.Events) != before {
+				t.Fatalf("step %d: a fork emitted %d events to the tap", step, len(tap.Events)-before)
+			}
+		}
+	}
+
+	cold := &obs.Recorder{}
+	ref := opt
+	ref.Observer = cold
+	tr := &trace.Trace{System: sys, Jobs: log}
+	want, err := Run(tr, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prefix []obs.Event
+	for _, e := range cold.Events {
+		if e.Time < pause {
+			prefix = append(prefix, e)
+		}
+	}
+	if len(tap.Events) != len(prefix) {
+		t.Fatalf("tap saw %d events, cold prefix before %v has %d", len(tap.Events), pause, len(prefix))
+	}
+	for i := range prefix {
+		if tap.Events[i] != prefix[i] {
+			t.Fatalf("event %d: tap %+v, cold %+v", i, tap.Events[i], prefix[i])
+		}
+	}
+	got, err := ck.WhatIf(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckSameResult(t, "final fork", got, want)
 }

@@ -38,9 +38,10 @@ type SessionConfig struct {
 	TickRate float64
 	// ColdWhatIf disables warm-started what-if forks: every candidate
 	// replays the full submission log from t=0 instead of forking a
-	// checkpoint held at the session clock. The reports are byte-identical
-	// either way (the checkpoint contract); the switch exists for A/B
-	// latency measurement and as an escape hatch.
+	// checkpoint held at the session clock (the baseline the deltas compare
+	// against is still a fork of the session's baseline checkpoint). The
+	// reports are byte-identical either way (the checkpoint contract); the
+	// switch exists for A/B latency measurement and as an escape hatch.
 	ColdWhatIf bool
 }
 
@@ -74,11 +75,23 @@ type Session struct {
 	limits Config
 	caps   []int // per-partition capacities
 
-	mu      sync.Mutex
-	now     float64
-	jobs    []trace.Job
-	emitted int          // events already published to the hub
-	replay  *replayState // nil when invalidated by a submission
+	mu  sync.Mutex
+	now float64
+	// jobs is the submission log: the baseline checkpoint's own trace,
+	// shared read-only (nil while empty).
+	jobs []trace.Job
+	// base is the baseline schedule: one simulation paused at the clock,
+	// built with the log's first batch (nil while the log is empty).
+	// Submit extends it and advancing the clock runs it forward, so no
+	// mutation replays the log. Its tap records every event it processes —
+	// exactly the events strictly before the clock, i.e. the published
+	// prefix — and keeps the job-class counters Status reports.
+	base *sim.Checkpoint
+	tap  baseTap
+	// baseRes is the baseline's full-run Result, which depends on the log
+	// but not on the clock: computed by a what-if's fork of base and kept
+	// until the next Submit.
+	baseRes *sim.Result
 	hub     *obs.Hub
 	closed  bool
 
@@ -100,10 +113,34 @@ type Session struct {
 	warm   map[string]*sim.Checkpoint
 }
 
-// replayState caches one baseline replay of the submission log.
-type replayState struct {
-	res    *sim.Result
-	events []obs.Event
+// baseTap observes the baseline checkpoint's own run (never its forks).
+// Events arrive in time order under the session lock; job IDs are dense log
+// indexes.
+type baseTap struct {
+	events []obs.Event // the published decision-event prefix
+	waits  []float64   // wait of each started job, by job ID
+	// Job-class counters: arrivals, starts, and completions processed so
+	// far, plus the wait total of completed jobs in completion order.
+	arrived, started, completed int
+	waitSum                     float64
+}
+
+// Observe implements obs.Observer.
+func (t *baseTap) Observe(e obs.Event) {
+	t.events = append(t.events, e)
+	switch e.Kind {
+	case obs.JobSubmit:
+		t.arrived++
+	case obs.JobStart:
+		t.started++
+		for len(t.waits) <= e.Job {
+			t.waits = append(t.waits, 0)
+		}
+		t.waits[e.Job] = e.Detail
+	case obs.JobComplete:
+		t.completed++
+		t.waitSum += t.waits[e.Job]
+	}
 }
 
 // newSession validates the config and builds the session.
@@ -135,6 +172,22 @@ func newSession(id string, cfg SessionConfig, limits Config) (*Session, error) {
 		caps:   cluster.EvenPartitions(cfg.Cores, cfg.Partitions),
 		hub:    obs.NewHub(limits.MaxSubscribers),
 	}, nil
+}
+
+// startBaseline builds the baseline checkpoint over jobs, run up to now
+// with the tap attached. Caller holds s.mu.
+func (s *Session) startBaseline(jobs []trace.Job, now float64) error {
+	s.tap = baseTap{}
+	opt := s.baseOptions()
+	opt.Observer = &s.tap
+	ck, err := sim.RunToCheckpoint(s.traceOf(jobs), opt, now)
+	if err != nil {
+		return fmt.Errorf("twin: baseline replay: %w", err)
+	}
+	s.base = ck
+	s.jobs = ck.Jobs()
+	s.baseRes = nil
+	return nil
 }
 
 // Config returns the resolved session configuration.
@@ -174,26 +227,25 @@ func (s *Session) journalAppendLocked(rec *record) {
 func (s *Session) durableLocked() bool { return s.jr != nil }
 
 // restore rebuilds the session's state from journal records: the post-
-// clamp job log is installed verbatim and the clock set, then one replay
-// recomputes the schedule and the published-prefix counter. Because the
-// twin is a deterministic replay of its log, emitted = |events strictly
-// before the clock| equals exactly what the pre-crash session had
+// clamp job log is installed verbatim, the clock set, and the baseline
+// checkpoint built by one run up to the clock. Because the twin is a
+// deterministic replay of its log, the events that run taps — every event
+// strictly before the clock — are exactly what the pre-crash session had
 // published incrementally.
 func (s *Session) restore(jobs []trace.Job, now float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.jobs = jobs
+	for i := range jobs {
+		if jobs[i].ID != i {
+			return fmt.Errorf("twin: restored job %d has ID %d, want dense log indexes", i, jobs[i].ID)
+		}
+	}
+	if len(jobs) > 0 {
+		if err := s.startBaseline(jobs, now); err != nil {
+			return err
+		}
+	}
 	s.now = now
-	s.replay = nil
-	if err := s.ensureReplayLocked(); err != nil {
-		return err
-	}
-	ev := s.replay.events
-	k := 0
-	for k < len(ev) && ev[k].Time < now {
-		k++
-	}
-	s.emitted = k
 	return nil
 }
 
@@ -206,12 +258,7 @@ func (s *Session) EmittedPrefix() ([]obs.Event, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	if err := s.ensureReplayLocked(); err != nil {
-		return nil, err
-	}
-	out := make([]obs.Event, s.emitted)
-	copy(out, s.replay.events[:s.emitted])
-	return out, nil
+	return append([]obs.Event(nil), s.tap.events...), nil
 }
 
 // Now returns the session clock.
@@ -269,9 +316,18 @@ func (s *Session) Submit(specs []JobSpec) ([]int, error) {
 		})
 		ids = append(ids, id)
 	}
+	// Baseline first: it revalidates the jobs and is left untouched on
+	// failure, so nothing is journaled for a rejected batch.
+	if s.base == nil {
+		if err := s.startBaseline(staged, s.now); err != nil {
+			return nil, err
+		}
+	} else if err := s.base.Extend(staged); err != nil {
+		return nil, fmt.Errorf("twin: baseline extend: %w", err)
+	}
 	s.journalAppendLocked(&record{Op: opSubmit, Jobs: toJournalJobs(staged)})
-	s.jobs = append(s.jobs, staged...)
-	s.replay = nil // schedule beyond the published prefix changed
+	s.jobs = s.base.Jobs()
+	s.baseRes = nil // the full-run schedule beyond the clock changed
 	return ids, nil
 }
 
@@ -327,10 +383,10 @@ func (s *Session) AdvanceTo(t float64) error {
 }
 
 // advanceLocked sets the clock and publishes the newly-due decision
-// events: every replay event with Time STRICTLY before the new clock that
-// has not been published yet. The strict bound keeps the published prefix
-// stable — a future submission lands at Submit >= clock and can only
-// change decisions at or after it.
+// events: running the baseline checkpoint forward to the new clock taps
+// every event with Time STRICTLY before it. The strict bound keeps the
+// published prefix stable — a future submission lands at Submit >= clock
+// and can only change decisions at or after it.
 func (s *Session) advanceLocked(to float64) error {
 	if s.closed {
 		return ErrClosed
@@ -339,43 +395,22 @@ func (s *Session) advanceLocked(to float64) error {
 		s.journalAppendLocked(&record{Op: opAdvance, To: to})
 	}
 	s.now = to
-	if err := s.ensureReplayLocked(); err != nil {
-		return err
+	if s.base == nil {
+		return nil // empty log: nothing to schedule
 	}
-	ev := s.replay.events
-	k := s.emitted
-	for k < len(ev) && ev[k].Time < to {
-		s.hub.Observe(ev[k])
-		k++
+	from := len(s.tap.events)
+	if err := s.base.AdvanceTo(to); err != nil {
+		return fmt.Errorf("twin: baseline advance: %w", err)
 	}
-	s.emitted = k
+	for _, e := range s.tap.events[from:] {
+		s.hub.Observe(e)
+	}
 	return nil
 }
 
-// ensureReplayLocked recomputes the cached baseline replay if a submission
-// invalidated it.
-func (s *Session) ensureReplayLocked() error {
-	if s.replay != nil {
-		return nil
-	}
-	if len(s.jobs) == 0 {
-		s.replay = &replayState{}
-		return nil
-	}
-	rec := &obs.Recorder{}
-	opt := s.baseOptions()
-	opt.Observer = rec
-	res, err := sim.Run(s.traceLocked(), opt)
-	if err != nil {
-		return fmt.Errorf("twin: baseline replay: %w", err)
-	}
-	s.replay = &replayState{res: res, events: rec.Events}
-	return nil
-}
-
-// traceLocked wraps the log in a trace for the simulator. The jobs slice
-// is shared read-only: the simulator treats input traces as immutable.
-func (s *Session) traceLocked() *trace.Trace {
+// traceOf wraps jobs in a trace of the session's cluster. The slice is
+// shared read-only: the simulator treats input traces as immutable.
+func (s *Session) traceOf(jobs []trace.Job) *trace.Trace {
 	return &trace.Trace{
 		System: trace.System{
 			Name:            "twin:" + s.ID,
@@ -383,7 +418,7 @@ func (s *Session) traceLocked() *trace.Trace {
 			TotalCores:      s.cfg.Cores,
 			VirtualClusters: s.cfg.Partitions,
 		},
-		Jobs: s.jobs,
+		Jobs: jobs,
 	}
 }
 
@@ -408,15 +443,17 @@ type Snapshot struct {
 	Seed       uint64  `json:"seed"`
 	TickRate   float64 `json:"tick_rate,omitempty"`
 
-	// Jobs counts every submission; Completed/Running/Queued classify them
-	// against the baseline replay at the clock (strictly-before semantics,
-	// matching event publication); Future jobs have not arrived yet.
+	// Jobs counts every submission; Completed/Running/Queued/Future classify
+	// them by the baseline's decision events strictly before the clock (the
+	// published prefix): completed, started but not completed, arrived but
+	// not started, and not arrived yet.
 	Jobs      int `json:"jobs"`
 	Completed int `json:"completed"`
 	Running   int `json:"running"`
 	Queued    int `json:"queued"`
 	Future    int `json:"future"`
-	// AvgWaitCompleted is the mean wait of completed jobs (0 when none).
+	// AvgWaitCompleted is the mean wait of completed jobs (0 when none),
+	// summed in completion order.
 	AvgWaitCompleted float64 `json:"avg_wait_completed"`
 	// EventsEmitted counts decision events published to subscribers.
 	EventsEmitted int `json:"events_emitted"`
@@ -429,16 +466,15 @@ type Snapshot struct {
 	Ephemeral bool `json:"ephemeral,omitempty"`
 }
 
-// Status computes the snapshot (forcing a replay when stale).
+// Status reports the session's state at its clock, read from the
+// baseline tap's counters.
 func (s *Session) Status() (Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return Snapshot{}, ErrClosed
 	}
-	if err := s.ensureReplayLocked(); err != nil {
-		return Snapshot{}, err
-	}
+	t := &s.tap
 	snap := Snapshot{
 		ID:            s.ID,
 		Now:           s.now,
@@ -450,32 +486,17 @@ func (s *Session) Status() (Snapshot, error) {
 		Seed:          s.cfg.Seed,
 		TickRate:      s.cfg.TickRate,
 		Jobs:          len(s.jobs),
-		EventsEmitted: s.emitted,
+		Completed:     t.completed,
+		Running:       t.started - t.completed,
+		Queued:        t.arrived - t.started,
+		Future:        len(s.jobs) - t.arrived,
+		EventsEmitted: len(t.events),
 		Subscribers:   s.hub.Subscribers(),
 		Durable:       s.durableLocked(),
 		Ephemeral:     s.ephemeral,
 	}
-	if s.replay.res == nil {
-		return snap, nil
-	}
-	var waitSum float64
-	for i := range s.replay.res.Jobs {
-		j := &s.replay.res.Jobs[i]
-		start := j.Submit + j.Wait
-		switch {
-		case j.Submit >= s.now:
-			snap.Future++
-		case start+j.Run < s.now:
-			snap.Completed++
-			waitSum += j.Wait
-		case start < s.now:
-			snap.Running++
-		default:
-			snap.Queued++
-		}
-	}
-	if snap.Completed > 0 {
-		snap.AvgWaitCompleted = waitSum / float64(snap.Completed)
+	if t.completed > 0 {
+		snap.AvgWaitCompleted = t.waitSum / float64(t.completed)
 	}
 	return snap, nil
 }
@@ -524,6 +545,7 @@ func (s *Session) closeReason(reason string) {
 		_ = s.jr.close()
 		s.jr = nil
 	}
+	s.dropBaselineLocked()
 	s.mu.Unlock()
 	s.warmMu.Lock()
 	s.warm = nil // drop the checkpoint table; each holds a full simulator
@@ -546,10 +568,21 @@ func (s *Session) park() bool {
 	s.closed = true
 	_ = s.jr.close()
 	s.jr = nil
+	s.dropBaselineLocked()
 	s.mu.Unlock()
 	s.warmMu.Lock()
 	s.warm = nil
 	s.warmMu.Unlock()
 	s.hub.CloseReason("parked")
 	return true
+}
+
+// dropBaselineLocked releases the log, the baseline simulation and its
+// event log once the session is closed (every later call fails with
+// ErrClosed).
+func (s *Session) dropBaselineLocked() {
+	s.base = nil
+	s.jobs = nil
+	s.baseRes = nil
+	s.tap = baseTap{}
 }

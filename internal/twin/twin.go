@@ -5,24 +5,26 @@
 //
 // Each Session holds a cluster shape (a calibrated profile's geometry or a
 // client-supplied cores/partitions pair), an append-only submission log,
-// and a simulation clock. The twin itself is a deterministic replay: the
-// session's baseline schedule is recomputed lazily from the log with the
-// pooled sim.Runner, and advancing the clock publishes the replay's
-// decision events (strictly before the new clock) to SSE subscribers
-// through a bounded, drop-oldest obs.Hub. Because submissions are clamped
-// to the current clock and the simulator is causal — a job cannot change
-// decisions made strictly before its submit time — the published event
-// prefix never contradicts a later replay.
+// and a simulation clock. The twin itself is a deterministic replay of its
+// log, kept incrementally: the session's baseline schedule is one
+// sim.Checkpoint paused at the clock, which Submit extends and advancing
+// runs forward, publishing the decision events its tap sees (exactly those
+// strictly before the new clock) to SSE subscribers through a bounded,
+// drop-oldest obs.Hub. Because submissions are clamped to the current
+// clock and the simulator is causal — a job cannot change decisions made
+// strictly before its submit time — the published event prefix never
+// contradicts a later replay.
 //
-// A what-if query forks the twin: the submission log is replayed under N
+// A what-if query forks the twin: the submission log is run under N
 // candidate policy x backfill x fault configurations concurrently on the
-// internal/par worker pool (each worker checking a warm sim.Runner out of
-// the shared pool), the outcomes are scored on the jobs still pending at
-// the session clock, and a ranking with wait/bsld/util deltas against the
-// session's own configuration is returned. Replies are deterministic for a
-// fixed log, clock, and seed, independent of worker count: candidate runs
-// are indexed, fault injection is seeded, and ties rank by candidate
-// order.
+// internal/par worker pool — fault-free candidates forking checkpoints
+// held at the session clock, fault-injected ones replaying from t=0 — the
+// outcomes are scored on the jobs still pending at the session clock, and
+// a ranking with wait/bsld/util deltas against the session's own
+// configuration (one more fork, of the baseline checkpoint) is returned.
+// Replies are deterministic for a fixed log, clock, and seed, independent
+// of worker count: candidate runs are indexed, fault injection is seeded,
+// and ties rank by candidate order.
 //
 // Resource bounds are explicit so thousands of sessions fit one process:
 // an LRU cap on live sessions (the oldest is evicted, its subscribers
@@ -128,6 +130,7 @@ type Manager struct {
 	sessions map[string]*list.Element // value: *Session
 	lru      *list.List               // front = most recently used
 	parked   map[string]bool          // durable sessions spilled to disk
+	parking  map[string]chan struct{} // LRU victims being parked; closed when settled
 	reviving map[string]*recoverOp    // single-flight reactivations
 	metrics  obs.Metrics              // Twin* counters, guarded by mu
 	seq      uint64
@@ -160,6 +163,7 @@ func NewManager(cfg Config) *Manager {
 		sessions: make(map[string]*list.Element),
 		lru:      list.New(),
 		parked:   make(map[string]bool),
+		parking:  make(map[string]chan struct{}),
 		reviving: make(map[string]*recoverOp),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -333,7 +337,9 @@ func (m *Manager) journalCreate(s *Session) {
 
 // insertLocked registers s as most recently used and pops LRU entries
 // while over the cap, returning them for the caller to retire outside the
-// table lock. Caller holds m.mu.
+// table lock. With a state directory each victim stays resolvable while it
+// is retired: a parking entry makes Get and Delete wait for the park to
+// settle instead of reporting the session missing. Caller holds m.mu.
 func (m *Manager) insertLocked(s *Session) []*Session {
 	var victims []*Session
 	for m.lru.Len() >= m.cfg.MaxSessions {
@@ -341,6 +347,9 @@ func (m *Manager) insertLocked(s *Session) []*Session {
 		old := oldest.Value.(*Session)
 		m.lru.Remove(oldest)
 		delete(m.sessions, old.ID)
+		if m.cfg.StateDir != "" {
+			m.parking[old.ID] = make(chan struct{})
+		}
 		victims = append(victims, old)
 	}
 	m.sessions[s.ID] = m.lru.PushFront(s)
@@ -353,24 +362,44 @@ func (m *Manager) insertLocked(s *Session) []*Session {
 // session answers its subscribers with a terminal "parked" reason.
 func (m *Manager) retire(victims []*Session) {
 	for _, old := range victims {
-		if !old.park() {
+		parked := old.park()
+		if !parked {
 			old.closeReason("evicted")
-			continue
 		}
 		m.mu.Lock()
-		if !m.closed {
+		if parked && !m.closed {
 			m.parked[old.ID] = true
 			m.metrics.TwinParked++
+		}
+		if ch, ok := m.parking[old.ID]; ok {
+			delete(m.parking, old.ID)
+			close(ch)
 		}
 		m.mu.Unlock()
 	}
 }
 
-// Get returns the session and marks it most recently used. A parked
-// session is transparently reactivated from its journal first (single-
-// flight: concurrent Gets share one replay).
+// awaitParkLocked waits out an in-flight park of id (see insertLocked).
+// Called and returns with m.mu held; the lock is released while waiting.
+func (m *Manager) awaitParkLocked(id string) {
+	for {
+		ch, ok := m.parking[id]
+		if !ok {
+			return
+		}
+		m.mu.Unlock()
+		<-ch
+		m.mu.Lock()
+	}
+}
+
+// Get returns the session and marks it most recently used. A session that
+// LRU eviction is parking is waited for, and a parked session is
+// transparently reactivated from its journal (single-flight: concurrent
+// Gets share one recovery).
 func (m *Manager) Get(id string) (*Session, error) {
 	m.mu.Lock()
+	m.awaitParkLocked(id)
 	if m.closed {
 		m.mu.Unlock()
 		return nil, ErrClosed
@@ -430,6 +459,7 @@ func (m *Manager) Get(id string) (*Session, error) {
 // state. It reports ErrNotFound for unknown IDs.
 func (m *Manager) Delete(id string) error {
 	m.mu.Lock()
+	m.awaitParkLocked(id)
 	el, ok := m.sessions[id]
 	if ok {
 		m.lru.Remove(el)

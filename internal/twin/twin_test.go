@@ -16,6 +16,7 @@ import (
 	"crosssched/internal/obs"
 	"crosssched/internal/par"
 	"crosssched/internal/sim"
+	"crosssched/internal/trace"
 )
 
 func testManager(t *testing.T, cfg Config) *Manager {
@@ -137,15 +138,16 @@ func TestEventPrefixStableAcrossSubmits(t *testing.T) {
 		drain()
 	}
 
-	// From-scratch reference replay of the final log.
+	// From-scratch reference replay of the final log, independent of the
+	// session's incremental baseline.
+	rec := &obs.Recorder{}
 	s.mu.Lock()
-	s.replay = nil
-	if err := s.ensureReplayLocked(); err != nil {
-		s.mu.Unlock()
+	tr := s.traceOf(s.jobs)
+	s.mu.Unlock()
+	if _, err := sim.Run(tr, sim.Options{Policy: sim.SJF, Backfill: sim.EASY, Observer: rec}); err != nil {
 		t.Fatal(err)
 	}
-	ref := s.replay.events
-	s.mu.Unlock()
+	ref := rec.Events
 
 	var want []obs.Event
 	for _, e := range ref {
@@ -535,7 +537,7 @@ func TestWhatIfMatchesDirectSimulation(t *testing.T) {
 	}
 
 	s.mu.Lock()
-	tr := s.traceLocked()
+	tr := s.traceOf(s.jobs)
 	s.mu.Unlock()
 	direct, err := sim.Run(tr, sim.Options{Policy: sim.SJF, Backfill: sim.EASY})
 	if err != nil {
@@ -612,12 +614,13 @@ func TestWhatIfWarmMatchesCold(t *testing.T) {
 				}
 			}
 		}
-		// The warm table holds the fault-free candidate configs, not more.
+		// The warm table holds the fault-free candidate configs other than
+		// the baseline's own (which forks the baseline checkpoint), not more.
 		warm.warmMu.Lock()
 		nWarm := len(warm.warm)
 		warm.warmMu.Unlock()
-		if nWarm != 4 {
-			t.Fatalf("warm table has %d checkpoints, want 4", nWarm)
+		if nWarm != 3 {
+			t.Fatalf("warm table has %d checkpoints, want 3", nWarm)
 		}
 		cold.warmMu.Lock()
 		nCold := len(cold.warm)
@@ -627,6 +630,73 @@ func TestWhatIfWarmMatchesCold(t *testing.T) {
 		}
 		m.Close()
 	}
+}
+
+// TestWhatIfSnapshotUnderConcurrentMutations: what-ifs racing submits,
+// advances and each other must fork the baseline and every candidate from
+// one snapshot. The probe candidate schedules exactly like the baseline
+// (relax is ignored under EASY) but has its own warm checkpoint, so any
+// fork taken from a different log or clock shows up as a nonzero delta.
+func TestWhatIfSnapshotUnderConcurrentMutations(t *testing.T) {
+	m := testManager(t, Config{})
+	s, err := m.Create(SessionConfig{Cores: 32, Partitions: 2, Policy: sim.FCFS, Backfill: sim.EASY})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(burst(20, 0)); err != nil {
+		t.Fatal(err)
+	}
+	probe := Candidate{Policy: "fcfs", Backfill: "easy", RelaxFactor: 0.5}
+	req := WhatIfRequest{Candidates: []Candidate{{Policy: "sjf"}, probe}}
+	done := make(chan struct{})
+	answered := make(chan struct{}, 1) // a what-if finished since the last round
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				rep, err := s.WhatIf(context.Background(), req)
+				select {
+				case answered <- struct{}{}:
+				default:
+				}
+				if errors.Is(err, ErrEmpty) {
+					continue
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, o := range rep.Ranking {
+					if o.Candidate == probe && (o.DeltaWait != 0 || o.DeltaBsld != 0 || o.DeltaUtil != 0) {
+						t.Errorf("probe forked from another snapshot than the baseline: %+v", o)
+						return
+					}
+				}
+			}
+		}()
+	}
+	clock := 0.0
+	for round := 0; round < 40; round++ {
+		<-answered // interleave rounds with queries still in flight
+		if _, err := s.Submit(burst(10, clock)); err != nil {
+			t.Error(err)
+			break
+		}
+		clock += 300
+		if err := s.AdvanceTo(clock); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
 }
 
 // TestWhatIfWarmTableCap pins the warm-table budget: distinct candidate
@@ -888,6 +958,100 @@ func TestManagerParkReactivate(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, s1.ID)); !os.IsNotExist(err) {
 		t.Fatalf("deleted session's state dir still present (err %v)", err)
+	}
+}
+
+// TestGetWaitsForInFlightPark is the regression pin for the park race: a
+// session that LRU eviction has taken out of the table but not yet
+// registered as parked (its journal flush is in flight) must stay
+// resolvable — Get waits for the park to settle and reactivates the
+// session instead of answering ErrNotFound.
+func TestGetWaitsForInFlightPark(t *testing.T) {
+	m := testManager(t, Config{StateDir: t.TempDir(), Fsync: FsyncAlways, MaxSessions: 1, TickInterval: time.Hour})
+	cfg := SessionConfig{Cores: 32, Policy: sim.FCFS, Backfill: sim.EASY}
+	victim, err := m.Create(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := victim.Submit(burst(8, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := victim.AdvanceTo(2000); err != nil {
+		t.Fatal(err)
+	}
+	want, err := victim.EmittedPrefix()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Hold the park in flight: parking takes the victim's lock to close
+	// its journal.
+	victim.mu.Lock()
+	created := make(chan error, 1)
+	go func() {
+		_, err := m.Create(cfg) // evicts the victim
+		created <- err
+	}()
+	for {
+		m.mu.Lock()
+		_, live := m.sessions[victim.ID]
+		m.mu.Unlock()
+		if !live {
+			break
+		}
+		runtime.Gosched()
+	}
+	type lookup struct {
+		s   *Session
+		err error
+	}
+	got := make(chan lookup, 1)
+	go func() {
+		s, err := m.Get(victim.ID)
+		got <- lookup{s, err}
+	}()
+	// Get must not answer while the park is in flight; the window gives a
+	// broken Get time to answer ErrNotFound.
+	select {
+	case g := <-got:
+		victim.mu.Unlock()
+		t.Fatalf("Get answered mid-park with (%v, %v); want it to wait", g.s, g.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	victim.mu.Unlock()
+	g := <-got
+	if g.err != nil {
+		t.Fatalf("Get during the park: %v", g.err)
+	}
+	if err := <-created; err != nil {
+		t.Fatal(err)
+	}
+	if g.s.ID != victim.ID || g.s == victim {
+		t.Fatalf("Get returned %p (%s), want a reactivation of %s", g.s, g.s.ID, victim.ID)
+	}
+	prefix, err := g.s.EmittedPrefix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(eventsJSONL(prefix), eventsJSONL(want)) {
+		t.Fatalf("reactivated prefix differs: %d events, want %d", len(prefix), len(want))
+	}
+	if mets := m.Metrics(); mets.TwinReactivated != 1 {
+		t.Fatalf("metrics = %+v, want 1 reactivation", mets)
+	}
+}
+
+// TestRestoreRejectsNonDenseIDs: the baseline tap indexes jobs by ID, so a
+// journal whose job IDs are not the dense log indexes Submit assigns (a
+// hand-edited file with valid frames) fails recovery instead of panicking.
+func TestRestoreRejectsNonDenseIDs(t *testing.T) {
+	s, err := newSession("s000001", SessionConfig{Cores: 8, Policy: sim.FCFS, Backfill: sim.EASY}, Config{}.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := []trace.Job{{ID: 0, Submit: 0, Wait: -1, Run: 60, Procs: 1, VC: -1}, {ID: 7, Submit: 1, Wait: -1, Run: 60, Procs: 1, VC: -1}}
+	if err := s.restore(jobs, 100); err == nil {
+		t.Fatal("restore accepted job IDs that are not log indexes")
 	}
 }
 

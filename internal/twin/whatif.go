@@ -92,12 +92,18 @@ type Report struct {
 	Ranking     []Outcome `json:"ranking"`
 }
 
-// WhatIf forks the twin and replays the submission log under every
-// candidate concurrently (pooled sim.Runner workers via internal/par),
-// returning the ranked outcomes. The fork is a counterfactual replay from
-// trace start: jobs already dispatched in the baseline are re-scheduled
-// too (the simulator has no warm start), but scoring is restricted to the
-// still-pending jobs so committed work does not drown the signal.
+// WhatIf forks the twin and runs every candidate configuration over the
+// submission log concurrently on the internal/par pool, returning the
+// ranked outcomes. A fault-free candidate forks a checkpoint of its own
+// configuration held at the session clock, so only the schedule from the
+// clock on is simulated; the fork is still a counterfactual of the whole
+// log (jobs already dispatched are re-scheduled under the candidate too),
+// but scoring is restricted to the still-pending jobs so committed work
+// does not drown the signal. The baseline the deltas compare against is
+// one more fork — of the session's own baseline checkpoint — unless it is
+// cached from an earlier query over the same log. Fault-injected
+// candidates (and every candidate under ColdWhatIf) replay the log from
+// t=0.
 func (s *Session) WhatIf(ctx context.Context, req WhatIfRequest) (*Report, error) {
 	if len(req.Candidates) == 0 {
 		return nil, fmt.Errorf("twin: what-if needs at least one candidate")
@@ -112,36 +118,29 @@ func (s *Session) WhatIf(ctx context.Context, req WhatIfRequest) (*Report, error
 	}
 
 	// Snapshot session state; the jobs slice is append-only so sharing the
-	// prefix with concurrent submissions is safe.
+	// prefix with concurrent submissions is safe. The baseline fork is
+	// taken under the lock so it matches the snapshot even if a Submit
+	// extends the checkpoint before the fork runs.
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if err := s.ensureReplayLocked(); err != nil {
-		s.mu.Unlock()
-		return nil, err
-	}
 	now := s.now
 	jobs := s.jobs[:len(s.jobs):len(s.jobs)]
-	base := s.replay.res
-	s.mu.Unlock()
-
-	if base == nil {
-		return nil, fmt.Errorf("%w: session has no jobs", ErrEmpty)
-	}
-	// pending: jobs that have not started at the clock under the baseline
-	// (strictly-before semantics, matching event publication).
-	pending := make([]bool, len(jobs))
-	nPending := 0
-	for i := range base.Jobs {
-		if base.Jobs[i].Submit+base.Jobs[i].Wait >= now {
-			pending[i] = true
-			nPending++
+	base := s.baseRes
+	var baseFork *sim.Fork
+	if base == nil && len(jobs) > 0 {
+		var err error
+		if baseFork, err = s.base.Fork(); err != nil {
+			s.mu.Unlock()
+			return nil, fmt.Errorf("twin: baseline fork: %w", err)
 		}
 	}
-	if nPending == 0 {
-		return nil, fmt.Errorf("%w: every job has already started at t=%v", ErrEmpty, now)
+	s.mu.Unlock()
+
+	if len(jobs) == 0 {
+		return nil, fmt.Errorf("%w: session has no jobs", ErrEmpty)
 	}
 
 	// Resolve candidates up front so a bad spec fails before the fan-out.
@@ -154,23 +153,25 @@ func (s *Session) WhatIf(ctx context.Context, req WhatIfRequest) (*Report, error
 		opts[i] = opt
 	}
 
-	tr := &trace.Trace{System: trace.System{
-		Name:            "twin:" + s.ID,
-		Kind:            trace.HPC,
-		TotalCores:      s.cfg.Cores,
-		VirtualClusters: s.cfg.Partitions,
-	}, Jobs: jobs}
+	tr := s.traceOf(jobs)
 
 	// Warm starts: each fault-free candidate forks a checkpoint already
-	// advanced to the clock instead of replaying the log from t=0. A nil
-	// entry (fault injection, cold mode, table full, or a checkpoint raced
-	// past this snapshot) replays cold; the checkpoint contract makes both
-	// paths byte-identical, so mixing them per candidate is invisible in
-	// the report.
+	// advanced to the clock instead of replaying the log from t=0; one on
+	// the baseline configuration takes the baseline's own result. A
+	// candidate with neither (fault injection, cold mode, table full, or a
+	// checkpoint raced past this snapshot) replays cold; the checkpoint
+	// contract makes every path byte-identical, so mixing them per
+	// candidate is invisible in the report.
+	baseKey := configKey(s.baseOptions())
 	cks := make([]*sim.Checkpoint, len(opts))
+	isBase := make([]bool, len(opts))
 	nCold := 0
 	for i := range opts {
 		if !s.cfg.ColdWhatIf && !opts[i].Faults.Enabled() {
+			if configKey(opts[i]) == baseKey {
+				isBase[i] = true
+				continue
+			}
 			cks[i] = s.warmCheckpoint(opts[i], tr, now)
 		}
 		if cks[i] == nil {
@@ -181,19 +182,39 @@ func (s *Session) WhatIf(ctx context.Context, req WhatIfRequest) (*Report, error
 	// idle (ineligible configurations fall back inside the simulator).
 	if shards := runtime.GOMAXPROCS(0) / max(nCold, 1); shards > 1 {
 		for i := range opts {
-			if cks[i] == nil {
+			if cks[i] == nil && !isBase[i] {
 				opts[i].Shards = shards
 			}
 		}
 	}
 
+	// The baseline fork, when present, is the fan-out's first item, and
+	// its clone is dropped once run, so it is not held through the rest.
+	forked := baseFork != nil
+	off := 0
+	if forked {
+		off = 1
+	}
 	results := make([]*sim.Result, len(opts))
-	err := par.ForEach(ctx, len(opts), func(ctx context.Context, i int) error {
+	err := par.ForEach(ctx, off+len(opts), func(ctx context.Context, i int) error {
+		if i < off {
+			f := baseFork
+			baseFork = nil
+			var err error
+			if base, err = f.Run(ctx); err != nil {
+				return fmt.Errorf("twin: baseline: %w", err)
+			}
+			return nil
+		}
+		i -= off
 		var res *sim.Result
 		var err error
-		if cks[i] != nil {
-			res, err = cks[i].WhatIf(ctx)
-		} else {
+		switch {
+		case isBase[i]:
+			return nil // filled from the baseline below
+		case cks[i] != nil:
+			res, err = s.runWarm(ctx, cks[i], tr, now, opts[i])
+		default:
 			res, err = sim.RunContext(ctx, tr, opts[i])
 		}
 		if err != nil {
@@ -205,17 +226,49 @@ func (s *Session) WhatIf(ctx context.Context, req WhatIfRequest) (*Report, error
 	if err != nil {
 		return nil, err
 	}
+	if forked {
+		s.mu.Lock()
+		if len(s.jobs) == len(jobs) && !s.closed {
+			s.baseRes = base // no Submit since the snapshot
+		}
+		s.mu.Unlock()
+	}
+	for i := range results {
+		if isBase[i] {
+			results[i] = base
+		}
+	}
+	return buildReport(s.ID, s.cfg, now, seed, req.Candidates, base, results)
+}
+
+// buildReport scores the candidates' full-run results against the
+// baseline's on the jobs still pending at now under the baseline, and
+// ranks them. results[i] belongs to cands[i].
+func buildReport(id string, cfg SessionConfig, now float64, seed uint64, cands []Candidate, base *sim.Result, results []*sim.Result) (*Report, error) {
+	// pending: jobs that have not started at the clock under the baseline
+	// (strictly-before semantics, matching event publication).
+	pending := make([]bool, len(base.Jobs))
+	nPending := 0
+	for i := range base.Jobs {
+		if base.Jobs[i].Submit+base.Jobs[i].Wait >= now {
+			pending[i] = true
+			nPending++
+		}
+	}
+	if nPending == 0 {
+		return nil, fmt.Errorf("%w: every job has already started at t=%v", ErrEmpty, now)
+	}
 
 	rep := &Report{
-		Session:     s.ID,
+		Session:     id,
 		Now:         now,
 		Seed:        seed,
 		PendingJobs: nPending,
-		Baseline:    score(Candidate{Policy: s.cfg.Policy.String(), Backfill: s.cfg.Backfill.String(), RelaxFactor: s.cfg.RelaxFactor}, base, pending, nPending),
+		Baseline:    score(Candidate{Policy: cfg.Policy.String(), Backfill: cfg.Backfill.String(), RelaxFactor: cfg.RelaxFactor}, base, pending, nPending),
 	}
 	rep.Ranking = make([]Outcome, len(results))
 	for i, res := range results {
-		out := score(req.Candidates[i], res, pending, nPending)
+		out := score(cands[i], res, pending, nPending)
 		out.DeltaWait = out.AvgWait - rep.Baseline.AvgWait
 		out.DeltaBsld = out.AvgBsld - rep.Baseline.AvgBsld
 		out.DeltaUtil = out.Utilization - rep.Baseline.Utilization
@@ -297,7 +350,7 @@ func (s *Session) candidateOptions(c Candidate, seed uint64) (sim.Options, error
 // clock, the clock is monotone, and Submit clamps every appended job to at
 // least the clock at append time.
 func (s *Session) warmCheckpoint(opt sim.Options, tr *trace.Trace, now float64) *sim.Checkpoint {
-	key := fmt.Sprintf("%s|%s|%g", opt.Policy, opt.Backfill, opt.RelaxFactor)
+	key := configKey(opt)
 	s.warmMu.Lock()
 	defer s.warmMu.Unlock()
 	ck := s.warm[key]
@@ -329,6 +382,30 @@ func (s *Session) warmCheckpoint(opt sim.Options, tr *trace.Trace, now float64) 
 		return nil
 	}
 	return ck
+}
+
+// runWarm runs one candidate from its warm checkpoint: forked while it
+// still sits at the query snapshot, or — when a concurrent query with a
+// longer log has moved it on since warmCheckpoint — replayed cold over the
+// snapshot. Forking here rather than up front keeps at most one fork per
+// fan-out worker alive.
+func (s *Session) runWarm(ctx context.Context, ck *sim.Checkpoint, tr *trace.Trace, now float64, opt sim.Options) (*sim.Result, error) {
+	s.warmMu.Lock()
+	var f *sim.Fork
+	if ck.Len() == len(tr.Jobs) && ck.PausedAt() == now {
+		f, _ = ck.Fork() // a broken checkpoint replays cold below
+	}
+	s.warmMu.Unlock()
+	if f == nil {
+		return sim.RunContext(ctx, tr, opt)
+	}
+	return f.Run(ctx)
+}
+
+// configKey names a fault-free scheduling configuration: the warm table's
+// key, and how a candidate is recognized as the baseline's own.
+func configKey(opt sim.Options) string {
+	return fmt.Sprintf("%s|%s|%g", opt.Policy, opt.Backfill, opt.RelaxFactor)
 }
 
 // score aggregates one replay over the pending set.

@@ -33,7 +33,9 @@ out=${3:-}
 
 cd "$(dirname "$0")/.."
 
-raw=$(go test -run '^$' -bench "$pattern" -benchmem -count "$count" . )
+# The root package holds the simulator and sweep benchmarks; internal/twin
+# holds the digital-twin session benchmark.
+raw=$(go test -run '^$' -bench "$pattern" -benchmem -count "$count" . ./internal/twin)
 printf '%s\n' "$raw" >&2
 
 json=$(printf '%s\n' "$raw" | awk '
