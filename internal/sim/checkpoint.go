@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"crosssched/internal/cluster"
+	"crosssched/internal/obs"
 	"crosssched/internal/trace"
 )
 
@@ -39,23 +40,25 @@ type Checkpoint struct {
 	s       simulator // owns its cluster; never pooled
 	pauseAt float64
 	broken  error // a failed advance poisons the checkpoint
+
+	rebuilds int // Extends that re-ran the trace (fault schedule changed before the pause)
 }
 
 // RunToCheckpoint validates tr, runs it under opt up to (exclusively)
-// pauseAt, and returns the paused simulation. Fault injection cannot be
-// checkpointed (its RNG and per-job attempt state are not cloneable).
-// opt.Observer becomes the checkpoint's event tap (it is called with the
-// checkpoint's lock held, so it must not call back into the checkpoint);
-// Metrics and Shards are ignored. The trace is copied; the caller's slice
-// is not retained.
+// pauseAt, and returns the paused simulation. Fault injection is
+// checkpointed like the rest of the state: the compiled fault schedule is
+// immutable and every interrupt draw is a pure hash of (seed, job,
+// attempt), so a fork carries the per-job attempt state and shares the
+// schedule. opt.Observer becomes the checkpoint's event tap (it is called
+// with the checkpoint's lock held, so it must not call back into the
+// checkpoint); Metrics and Shards are ignored. The trace and opt.Faults
+// are copied; the caller's values are not retained.
 func RunToCheckpoint(tr *trace.Trace, opt Options, pauseAt float64) (*Checkpoint, error) {
-	if opt.Faults.Enabled() {
-		return nil, fmt.Errorf("sim: checkpoints do not support fault injection")
-	}
 	tap := opt.Observer
 	opt.Observer = nil // forks inherit opt; only the checkpoint's own run is tapped
 	opt.Metrics = nil
 	opt.Shards = 0
+	opt.Faults = opt.Faults.Clone()
 	if opt.BsldTau <= 0 {
 		opt.BsldTau = 10
 	}
@@ -90,13 +93,24 @@ func RunToCheckpoint(tr *trace.Trace, opt Options, pauseAt float64) (*Checkpoint
 		caps:    caps,
 		pauseAt: pauseAt,
 	}
-	own := &trace.Trace{System: tr.System, Jobs: ck.jobs}
-	ck.s.reset(context.Background(), own, opt, cl, nParts)
-	ck.s.obsv = tap
-	if err := ck.s.runUntil(pauseAt); err != nil {
+	if err := ck.start(cl, tap); err != nil {
 		return nil, err
 	}
 	return ck, nil
+}
+
+// start runs the checkpoint's trace on cl from t=0 up to its pause time,
+// with tap as its event tap.
+func (ck *Checkpoint) start(cl *cluster.Cluster, tap obs.Observer) error {
+	own := &trace.Trace{System: ck.sys, Jobs: ck.jobs}
+	ck.s.reset(context.Background(), own, ck.opt, cl, ck.nParts)
+	if ck.opt.Faults.Enabled() {
+		if err := ck.s.setupFaults(own, ck.opt.Faults, cl); err != nil {
+			return err
+		}
+	}
+	ck.s.obsv = tap
+	return ck.s.runUntil(ck.pauseAt)
 }
 
 // PausedAt returns the checkpoint's pause time: every event strictly before
@@ -128,6 +142,16 @@ func (ck *Checkpoint) Jobs() []trace.Job {
 // (events before it have already been processed and cannot be revised); an
 // append-only log whose writes are clamped to the advancing clock — the
 // twin's submission log — satisfies this by construction.
+//
+// Under generated outages with the default horizon (the trace's last
+// submit), a later last submit changes the fault schedule, so Extend
+// recompiles it. When the new schedule adds no outage before the pause
+// time — always so when the checkpoint paused at or before the old last
+// submit — it is spliced into the paused run. Otherwise the history before
+// the pause changed and the checkpoint is rebuilt by one run of the
+// extended trace up to the pause time; a tapped checkpoint cannot revise
+// events its tap already saw, so there Extend fails and leaves it as it
+// was.
 func (ck *Checkpoint) Extend(jobs []trace.Job) error {
 	if len(jobs) == 0 {
 		return nil
@@ -137,10 +161,11 @@ func (ck *Checkpoint) Extend(jobs []trace.Job) error {
 	if ck.broken != nil {
 		return ck.broken
 	}
-	last := ck.pauseAt
-	if n := len(ck.jobs); n > 0 && ck.jobs[n-1].Submit > last {
-		last = ck.jobs[n-1].Submit
+	horizon := 0.0 // the trace's last submit: the fault layer's default horizon
+	if n := len(ck.jobs); n > 0 {
+		horizon = ck.jobs[n-1].Submit
 	}
+	last := max(ck.pauseAt, horizon)
 	for i := range jobs {
 		j := &jobs[i]
 		if err := j.Validate(); err != nil {
@@ -157,8 +182,25 @@ func (ck *Checkpoint) Extend(jobs []trace.Job) error {
 				j.ID, j.Procs, p, ck.caps[p])
 		}
 	}
-	ck.jobs = append(ck.jobs, jobs...)
 	s := &ck.s
+	sched, rebuild, err := s.flt.recompile(ck.caps, horizon, last, ck.pauseAt)
+	if err != nil {
+		return fmt.Errorf("sim: checkpoint extend: %w", err)
+	}
+	if rebuild {
+		if s.obsv != nil {
+			return fmt.Errorf("sim: checkpoint extend: the fault schedule gains outages before the pause time %v, which the event tap has already passed", ck.pauseAt)
+		}
+		ck.jobs = append(ck.jobs, jobs...)
+		ck.rebuilds++
+		s.cl.Reset()
+		if err := ck.start(s.cl, nil); err != nil {
+			ck.broken = fmt.Errorf("sim: checkpoint rebuild failed: %w", err)
+			return ck.broken
+		}
+		return nil
+	}
+	ck.jobs = append(ck.jobs, jobs...)
 	s.jobs = ck.jobs
 	// Grow the per-arrival arrays alongside. The pending arena may move;
 	// queue entries point into it and must be re-anchored by arrival index
@@ -176,6 +218,12 @@ func (ck *Checkpoint) Extend(jobs []trace.Job) error {
 	s.waits = append(s.waits, make([]float64, len(jobs))...)
 	for range jobs {
 		s.promised = append(s.promised, -1)
+	}
+	if s.flt != nil {
+		s.flt.grow(len(jobs))
+		if sched != nil {
+			s.flt.splice(sched)
+		}
 	}
 	return nil
 }
@@ -254,10 +302,12 @@ func (f *Fork) Run(ctx context.Context) (*Result, error) {
 // cloneSimulator copies a paused materialized simulator into dst so the two
 // can run independently. Authoritative state — the pending arena, queues,
 // completion heap, cluster, fair-share accounts, per-arrival arrays, and
-// every counter — is deep-copied; pure caches (score sort, profile, shadow,
-// backfill-scan memo, conservative plan) are dropped instead, which the
-// cache invariants already prove changes no scheduling decision, only
-// re-derivation work. The event tap is not copied: forks are headless.
+// every counter, and the fault layer's per-job state — is deep-copied;
+// the compiled fault schedule and config are immutable and shared; pure
+// caches (score sort, profile, shadow, backfill-scan memo, conservative
+// plan) are dropped instead, which the cache invariants already prove
+// changes no scheduling decision, only re-derivation work. The event tap
+// is not copied: forks are headless.
 // dst must be fresh (zero) storage; its context is set by the caller.
 func cloneSimulator(dst, src *simulator) {
 	dst.opt = src.opt
@@ -311,4 +361,9 @@ func cloneSimulator(dst, src *simulator) {
 	dst.maxQueueSeen = src.maxQueueSeen
 	dst.started = src.started
 	dst.makespan = src.makespan
+
+	if src.flt != nil {
+		src.flt.cloneInto(&dst.fltState)
+		dst.flt = &dst.fltState
+	}
 }

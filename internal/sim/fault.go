@@ -74,6 +74,78 @@ func (f *simFault) reset(cfg *fault.Config, sched *fault.Schedule, nJobs int) {
 	f.interrupts, f.requeues, f.failed = 0, 0, 0
 }
 
+// grow extends the per-job state by n later arrivals (Checkpoint.Extend).
+func (f *simFault) grow(n int) {
+	f.attempts = append(f.attempts, make([]int32, n)...)
+	f.everStarted = append(f.everStarted, make([]bool, n)...)
+	f.lastStart = append(f.lastStart, make([]float64, n)...)
+	f.credit = append(f.credit, make([]float64, n)...)
+	f.dead = append(f.dead, make([]bool, n)...)
+	f.willInterrupt = append(f.willInterrupt, make([]bool, n)...)
+}
+
+// recompile returns the schedule a cold run compiles once the trace's last
+// submit moves from h1 to h2 > h1, or nil when the schedule does not depend
+// on it (no generated outages, or a pinned horizon). rebuild reports that
+// the new schedule differs from the applied one before pause, so it cannot
+// be spliced into the paused run. A nil receiver (no fault injection)
+// returns nil, false, nil.
+func (f *simFault) recompile(caps []int, h1, h2, pause float64) (sched *fault.Schedule, rebuild bool, err error) {
+	if f == nil || f.cfg.MTBF <= 0 || f.cfg.Horizon > 0 || h2 == h1 {
+		return nil, false, nil
+	}
+	if sched, err = f.cfg.Compile(caps, h2); err != nil {
+		return nil, false, err
+	}
+	return sched, !f.spliceable(sched, pause), nil
+}
+
+// spliceable reports whether a run paused at pause under f.sched is also
+// exactly where a cold run under sched pauses: sched's first f.next events
+// are the ones already applied, in the same order, and its next event is
+// at or past pause. Outage IDs may differ (generated outages are numbered
+// partition by partition, so a longer horizon renumbers later
+// partitions'); splice remaps them.
+func (f *simFault) spliceable(sched *fault.Schedule, pause float64) bool {
+	if len(sched.Events) < f.next {
+		return false
+	}
+	for i, ev := range f.sched.Events[:f.next] {
+		nv := sched.Events[i]
+		if nv.Time != ev.Time || nv.Part != ev.Part || nv.Cores != ev.Cores || nv.Down != ev.Down || nv.Pair != ev.Pair {
+			return false
+		}
+	}
+	return f.next == len(sched.Events) || sched.Events[f.next].Time >= pause
+}
+
+// splice swaps in a spliceable schedule, carrying each applied outage's
+// drained cores over to its ID in sched.
+func (f *simFault) splice(sched *fault.Schedule) {
+	drained := make([]int, sched.Outages)
+	for i, ev := range f.sched.Events[:f.next] {
+		if ev.Down {
+			drained[sched.Events[i].ID] = f.drained[ev.ID]
+		}
+	}
+	f.sched = sched
+	f.drained = drained
+}
+
+// cloneInto deep-copies the fault state into dst for a checkpoint fork;
+// the config and compiled schedule are immutable and shared.
+func (f *simFault) cloneInto(dst *simFault) {
+	*dst = *f
+	dst.attempts = slices.Clone(f.attempts)
+	dst.everStarted = slices.Clone(f.everStarted)
+	dst.lastStart = slices.Clone(f.lastStart)
+	dst.credit = slices.Clone(f.credit)
+	dst.dead = slices.Clone(f.dead)
+	dst.willInterrupt = slices.Clone(f.willInterrupt)
+	dst.drained = slices.Clone(f.drained)
+	dst.victims = nil
+}
+
 // resetSlice returns a zeroed slice of length n, reusing capacity.
 func resetSlice[T comparable](s []T, n int) []T {
 	if cap(s) < n {

@@ -42,8 +42,8 @@ func deepBatches(n, cores int) ([][]JobSpec, []float64) {
 
 // BenchmarkTwinDeepSession runs one whole in-memory session per op: 25
 // batches of 150 jobs, each followed by a 4-candidate what-if (one
-// candidate fault-injected, so it replays cold) and a clock advance past
-// the batch, with a Status read after each advance.
+// candidate fault-injected; all four fork warm checkpoints) and a clock
+// advance past the batch, with a Status read after each advance.
 func BenchmarkTwinDeepSession(b *testing.B) {
 	const cores = 512
 	batches, advances := deepBatches(25, cores)

@@ -35,6 +35,14 @@ func FuzzSessionMatchesFullReplay(f *testing.F) {
 	f.Add([]byte{40, 1, 1, 1, 0, 0, 5, 9, 9, 9, 9, 9, 1, 30, 30, 2, 3, 2, 1, 2, 4, 0, 3, 1, 1, 200, 3, 3, 2, 0, 4, 2})
 	f.Add([]byte{63, 3, 8, 2, 7, 1, 0, 5, 200, 100, 3, 7, 2, 50, 1, 10, 10, 3, 2, 4, 3, 1, 0, 5, 3, 2, 5, 0, 1, 0, 7, 4, 4, 0, 2, 1, 90, 90, 2, 3, 1, 1, 4})
 	f.Add([]byte{17, 2, 4, 3, 0, 0, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 1, 1, 1, 3, 0, 0, 0, 4, 0, 3, 4, 4, 4, 4})
+	// Fault what-ifs before and after an advance past every submit, one
+	// with a seed override: the next submit's Extend rebuilds the fault
+	// checkpoints.
+	f.Add([]byte{36, 1, 0, 2, 5, 1, 0, 4, 3, 200, 1, 10, 0, 0, 3, 200, 1, 10, 0, 0, 3, 200, 1, 10, 0, 0, 3, 200, 1, 10, 0, 0,
+		3, 200, 1, 10, 0, 0, 3, 0, 0, 0, 1, 2, 1, 1, 100, 100, 3, 0, 0, 0, 1, 2, 1, 0, 4, 3, 200, 1, 10, 0, 0, 3, 200, 1, 10,
+		0, 0, 3, 200, 1, 10, 0, 0, 3, 200, 1, 10, 0, 0, 3, 200, 1, 10, 0, 0, 3, 0, 0, 0, 1, 2, 1, 2, 3, 1, 0, 0, 1, 2, 2, 2, 1,
+		4, 0, 77, 1, 100, 100, 0, 4, 3, 200, 1, 10, 0, 0, 3, 200, 1, 10, 0, 0, 3, 200, 1, 10, 0, 0, 3, 200, 1, 10, 0, 0, 3,
+		200, 1, 10, 0, 0, 3, 1, 0, 0, 1, 2, 2, 2, 1, 4, 0, 77, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := &fuzzBytes{b: data}
 		cfg := SessionConfig{
@@ -90,7 +98,7 @@ func FuzzSessionMatchesFullReplay(f *testing.F) {
 				ref := fuzzReference(t, s)
 				sameJSON(t, "snapshot", got, ref.snapshot(s))
 			case 3:
-				req := WhatIfRequest{Candidates: fuzzCandidates(in)}
+				req := fuzzWhatIf(in)
 				got, gotErr := s.WhatIf(context.Background(), req)
 				want, wantErr := fuzzReference(t, s).report(t, s, req)
 				if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && errors.Is(gotErr, ErrEmpty) != errors.Is(wantErr, ErrEmpty)) {
@@ -133,13 +141,23 @@ func FuzzSessionMatchesFullReplay(f *testing.F) {
 	})
 }
 
-// fuzzCandidates draws one to three what-if candidates, sometimes the
-// baseline's own configuration, sometimes fault-injected.
-func fuzzCandidates(in *fuzzBytes) []Candidate {
+// fuzzWhatIf draws a what-if of one to three candidates, sometimes the
+// baseline's own configuration, sometimes fault-injected under any
+// recovery mode, and sometimes with a seed override. Advances often carry
+// the clock past every submit, so a fault candidate's next Extend also
+// runs the checkpoint rebuild path.
+func fuzzWhatIf(in *fuzzBytes) WhatIfRequest {
 	policies := []string{"", "fcfs", "sjf", "wfp3", "f2", "fair"}
 	backfills := []string{"", "none", "easy", "conservative", "relaxed", "adaptive"}
-	cands := make([]Candidate, 1+in.next()%3)
-	for i := range cands {
+	faults := []string{
+		"mtbf=20000,mttr=3600,frac=0.5,recovery=requeue",
+		"mtbf=3000,mttr=600,frac=0.25,pint=0.05,recovery=checkpoint,ckpt=300,retry=2",
+		"pint=0.1,recovery=none",
+		"mtbf=5000,mttr=900,frac=0.5,horizon=40000,recovery=requeue,retry=1",
+	}
+	var req WhatIfRequest
+	req.Candidates = make([]Candidate, 1+in.next()%3)
+	for i := range req.Candidates {
 		c := Candidate{
 			Policy:   policies[in.next()%len(policies)],
 			Backfill: backfills[in.next()%len(backfills)],
@@ -147,12 +165,16 @@ func fuzzCandidates(in *fuzzBytes) []Candidate {
 		if in.next()%4 == 0 {
 			c.RelaxFactor = 0.25
 		}
-		if in.next()%4 == 0 {
-			c.Faults = "mtbf=20000,mttr=3600,frac=0.5,recovery=requeue"
+		if f := in.next(); f%2 == 0 {
+			c.Faults = faults[f/2%len(faults)]
 		}
-		cands[i] = c
+		req.Candidates[i] = c
 	}
-	return cands
+	if in.next()%3 == 0 {
+		seed := uint64(in.next())
+		req.Seed = &seed
+	}
+	return req
 }
 
 // fuzzRef is a session's state recomputed from scratch: one cold recorded
@@ -227,9 +249,13 @@ func (ref *fuzzRef) report(t *testing.T, s *Session, req WhatIfRequest) (*Report
 	if ref.res == nil {
 		return nil, ErrEmpty
 	}
+	seed := s.cfg.Seed
+	if req.Seed != nil {
+		seed = *req.Seed
+	}
 	results := make([]*sim.Result, len(req.Candidates))
 	for i, c := range req.Candidates {
-		opt, err := s.candidateOptions(c, s.cfg.Seed)
+		opt, err := s.candidateOptions(c, seed)
 		if err != nil {
 			t.Fatalf("candidate %d: %v", i, err)
 		}
@@ -237,7 +263,7 @@ func (ref *fuzzRef) report(t *testing.T, s *Session, req WhatIfRequest) (*Report
 			t.Fatalf("candidate %d: %v", i, err)
 		}
 	}
-	return buildReport(s.ID, s.cfg, ref.now, s.cfg.Seed, req.Candidates, ref.res, results)
+	return buildReport(s.ID, s.cfg, ref.now, seed, req.Candidates, ref.res, results)
 }
 
 func sameJSON(t *testing.T, what string, got, want any) {

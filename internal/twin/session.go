@@ -104,11 +104,12 @@ type Session struct {
 	ephemeral bool
 	onDegrade func()
 
-	// warm holds one paused simulation per fault-free candidate
-	// configuration (keyed policy|backfill|relax), kept at the session
-	// clock so a what-if forks it instead of replaying from t=0. Guarded
-	// by its own mutex: warming up serializes, but forks run outside it
-	// and never block Submit/Advance on s.mu.
+	// warm holds one paused simulation per candidate configuration (keyed
+	// policy|backfill|relax, plus the fault spec of a fault-injected one;
+	// see configKey), kept at the session clock so a what-if forks it
+	// instead of replaying from t=0. Guarded by its own mutex: warming up
+	// serializes, but forks run outside it and never block Submit/Advance
+	// on s.mu.
 	warmMu sync.Mutex
 	warm   map[string]*sim.Checkpoint
 }

@@ -17,9 +17,8 @@
 //
 // A what-if query forks the twin: the submission log is run under N
 // candidate policy x backfill x fault configurations concurrently on the
-// internal/par worker pool — fault-free candidates forking checkpoints
-// held at the session clock, fault-injected ones replaying from t=0 — the
-// outcomes are scored on the jobs still pending at the session clock, and
+// internal/par worker pool — each candidate forking a checkpoint of its
+// configuration held at the session clock — the outcomes are scored on the jobs still pending at the session clock, and
 // a ranking with wait/bsld/util deltas against the session's own
 // configuration (one more fork, of the baseline checkpoint) is returned.
 // Replies are deterministic for a fixed log, clock, and seed, independent

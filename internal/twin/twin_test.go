@@ -614,13 +614,14 @@ func TestWhatIfWarmMatchesCold(t *testing.T) {
 				}
 			}
 		}
-		// The warm table holds the fault-free candidate configs other than
-		// the baseline's own (which forks the baseline checkpoint), not more.
+		// The warm table holds the candidate configs other than the
+		// baseline's own (which forks the baseline checkpoint), fault-
+		// injected one included, not more.
 		warm.warmMu.Lock()
 		nWarm := len(warm.warm)
 		warm.warmMu.Unlock()
-		if nWarm != 3 {
-			t.Fatalf("warm table has %d checkpoints, want 3", nWarm)
+		if nWarm != 4 {
+			t.Fatalf("warm table has %d checkpoints, want 4", nWarm)
 		}
 		cold.warmMu.Lock()
 		nCold := len(cold.warm)
@@ -629,6 +630,80 @@ func TestWhatIfWarmMatchesCold(t *testing.T) {
 			t.Fatalf("cold session grew %d checkpoints, want 0", nCold)
 		}
 		m.Close()
+	}
+}
+
+// TestWhatIfFaultSeedOverride: a what-if whose seed overrides the
+// session's forks its own warm checkpoint per fault candidate (the key
+// carries the effective seed), and both seeds' reports stay byte-identical
+// to a cold session's — also when a query lands after the clock passed
+// every submit, so the next Extend changes the outage schedule before the
+// checkpoint's pause.
+func TestWhatIfFaultSeedOverride(t *testing.T) {
+	cands := []Candidate{
+		{Faults: "mtbf=900,mttr=300,frac=0.5,pint=0.05,recovery=requeue,retry=2"},
+		{Policy: "sjf", Faults: "mtbf=1200,mttr=200,frac=0.25,recovery=checkpoint,ckpt=120,retry=1"},
+	}
+	cfg := SessionConfig{Cores: 48, Partitions: 3, Policy: sim.FCFS, Backfill: sim.EASY, Seed: 11}
+	m := testManager(t, Config{})
+	warm, err := m.Create(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldCfg := cfg
+	coldCfg.ColdWhatIf = true
+	cold, err := m.Create(coldCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	override := uint64(99)
+	ctx := context.Background()
+	clock := 0.0
+	var faulted [2]int // interrupted attempts summed per seed
+	for cycle := 0; cycle < 4; cycle++ {
+		jobs := burst(30, clock)
+		for _, s := range []*Session{warm, cold} {
+			if _, err := s.Submit(jobs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Odd cycles query past the last submit (bursts span 300 s).
+		clock += 150 + 1050*float64(cycle%2)
+		for _, s := range []*Session{warm, cold} {
+			if err := s.AdvanceTo(clock); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k, seed := range []*uint64{nil, &override} {
+			req := WhatIfRequest{Candidates: cands, Seed: seed}
+			wrep, err := warm.WhatIf(ctx, req)
+			if err != nil {
+				t.Fatalf("cycle %d seed %d warm: %v", cycle, k, err)
+			}
+			crep, err := cold.WhatIf(ctx, req)
+			if err != nil {
+				t.Fatalf("cycle %d seed %d cold: %v", cycle, k, err)
+			}
+			crep.Session = wrep.Session
+			wb, _ := json.Marshal(wrep)
+			cb, _ := json.Marshal(crep)
+			if string(wb) != string(cb) {
+				t.Fatalf("cycle %d seed %d: warm report differs from cold:\n%s\nvs\n%s", cycle, k, wb, cb)
+			}
+			for _, o := range wrep.Ranking {
+				faulted[k] += o.Interrupted
+			}
+		}
+		clock += 300
+	}
+	if faulted[0] == 0 || faulted[1] == 0 {
+		t.Fatalf("interrupted attempts per seed %v: the fault candidates are vacuous", faulted)
+	}
+	warm.warmMu.Lock()
+	nWarm := len(warm.warm)
+	warm.warmMu.Unlock()
+	if nWarm != 2*len(cands) {
+		t.Fatalf("warm table has %d checkpoints, want %d (one per candidate per seed)", nWarm, 2*len(cands))
 	}
 }
 

@@ -3,7 +3,6 @@ package twin
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -94,16 +93,16 @@ type Report struct {
 
 // WhatIf forks the twin and runs every candidate configuration over the
 // submission log concurrently on the internal/par pool, returning the
-// ranked outcomes. A fault-free candidate forks a checkpoint of its own
-// configuration held at the session clock, so only the schedule from the
-// clock on is simulated; the fork is still a counterfactual of the whole
-// log (jobs already dispatched are re-scheduled under the candidate too),
-// but scoring is restricted to the still-pending jobs so committed work
-// does not drown the signal. The baseline the deltas compare against is
-// one more fork — of the session's own baseline checkpoint — unless it is
-// cached from an earlier query over the same log. Fault-injected
-// candidates (and every candidate under ColdWhatIf) replay the log from
-// t=0.
+// ranked outcomes. Each candidate — fault-injected ones included — forks a
+// checkpoint of its own configuration held at the session clock, so only
+// the schedule from the clock on is simulated; the fork is still a
+// counterfactual of the whole log (jobs already dispatched are
+// re-scheduled under the candidate too), but scoring is restricted to the
+// still-pending jobs so committed work does not drown the signal. The
+// baseline the deltas compare against is one more fork — of the session's
+// own baseline checkpoint — unless it is cached from an earlier query over
+// the same log. Only ColdWhatIf sessions, a full warm table, and the
+// race fallback in runWarm replay the log from t=0.
 func (s *Session) WhatIf(ctx context.Context, req WhatIfRequest) (*Report, error) {
 	if len(req.Candidates) == 0 {
 		return nil, fmt.Errorf("twin: what-if needs at least one candidate")
@@ -155,36 +154,23 @@ func (s *Session) WhatIf(ctx context.Context, req WhatIfRequest) (*Report, error
 
 	tr := s.traceOf(jobs)
 
-	// Warm starts: each fault-free candidate forks a checkpoint already
-	// advanced to the clock instead of replaying the log from t=0; one on
-	// the baseline configuration takes the baseline's own result. A
-	// candidate with neither (fault injection, cold mode, table full, or a
-	// checkpoint raced past this snapshot) replays cold; the checkpoint
-	// contract makes every path byte-identical, so mixing them per
-	// candidate is invisible in the report.
+	// Warm starts: each candidate forks a checkpoint already advanced to
+	// the clock instead of replaying the log from t=0; one on the
+	// baseline configuration takes the baseline's own result. A candidate
+	// with neither (cold mode, table full, or a checkpoint raced past this
+	// snapshot) replays cold; the checkpoint contract makes every path
+	// byte-identical, so mixing them per candidate is invisible in the
+	// report.
 	baseKey := configKey(s.baseOptions())
 	cks := make([]*sim.Checkpoint, len(opts))
 	isBase := make([]bool, len(opts))
-	nCold := 0
 	for i := range opts {
-		if !s.cfg.ColdWhatIf && !opts[i].Faults.Enabled() {
-			if configKey(opts[i]) == baseKey {
-				isBase[i] = true
-				continue
-			}
+		switch {
+		case s.cfg.ColdWhatIf:
+		case configKey(opts[i]) == baseKey:
+			isBase[i] = true
+		default:
 			cks[i] = s.warmCheckpoint(opts[i], tr, now)
-		}
-		if cks[i] == nil {
-			nCold++
-		}
-	}
-	// Cold replays additionally shard across the cores the fan-out leaves
-	// idle (ineligible configurations fall back inside the simulator).
-	if shards := runtime.GOMAXPROCS(0) / max(nCold, 1); shards > 1 {
-		for i := range opts {
-			if cks[i] == nil && !isBase[i] {
-				opts[i].Shards = shards
-			}
 		}
 	}
 
@@ -348,7 +334,12 @@ func (s *Session) candidateOptions(c Candidate, seed uint64) (sim.Options, error
 // The Extend precondition — suffix jobs arrive at or after the pause time —
 // holds by construction: the pause time is always some earlier session
 // clock, the clock is monotone, and Submit clamps every appended job to at
-// least the clock at append time.
+// least the clock at append time. A fault candidate's Extend splices its
+// recompiled outage schedule into the paused run while that earlier clock
+// lies at or before the log's last submit — the submit-then-query pattern;
+// after a query made once the clock had passed every submit, the next
+// Extend may rebuild the checkpoint by one run of the log (see
+// sim.Checkpoint.Extend).
 func (s *Session) warmCheckpoint(opt sim.Options, tr *trace.Trace, now float64) *sim.Checkpoint {
 	key := configKey(opt)
 	s.warmMu.Lock()
@@ -402,10 +393,16 @@ func (s *Session) runWarm(ctx context.Context, ck *sim.Checkpoint, tr *trace.Tra
 	return f.Run(ctx)
 }
 
-// configKey names a fault-free scheduling configuration: the warm table's
-// key, and how a candidate is recognized as the baseline's own.
+// configKey names a scheduling configuration: the warm table's key, and
+// how a candidate is recognized as the baseline's own. A fault scenario
+// adds its canonical spec, which carries the effective seed, so a query's
+// seed override gets its own entry.
 func configKey(opt sim.Options) string {
-	return fmt.Sprintf("%s|%s|%g", opt.Policy, opt.Backfill, opt.RelaxFactor)
+	key := fmt.Sprintf("%s|%s|%g", opt.Policy, opt.Backfill, opt.RelaxFactor)
+	if opt.Faults.Enabled() {
+		key += "|" + opt.Faults.Spec()
+	}
+	return key
 }
 
 // score aggregates one replay over the pending set.
