@@ -2,6 +2,7 @@ package check
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"crosssched/internal/sim"
@@ -25,10 +26,24 @@ func (m *refMultiset) add(end float64, procs int) {
 
 // removeRandom retracts one live entry and returns it.
 func (m *refMultiset) removeRandom(rng *rand.Rand) sim.JobEnd {
-	i := rng.Intn(len(m.ends))
+	return m.removeAt(rng.Intn(len(m.ends)))
+}
+
+// removeRank retracts the live entry of the given rank in end order (0 is
+// the earliest end, the AvailSet's front) and returns it.
+func (m *refMultiset) removeRank(rank int) sim.JobEnd {
+	idx := make([]int, len(m.ends))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return m.ends[idx[a]].End < m.ends[idx[b]].End })
+	return m.removeAt(idx[rank])
+}
+
+// removeAt retracts live entry i, keeping the others in insertion order.
+func (m *refMultiset) removeAt(i int) sim.JobEnd {
 	e := m.ends[i]
-	m.ends[i] = m.ends[len(m.ends)-1]
-	m.ends = m.ends[:len(m.ends)-1]
+	m.ends = append(m.ends[:i], m.ends[i+1:]...)
 	return e
 }
 
@@ -48,32 +63,73 @@ func snapshotsEqual(t *testing.T, a *sim.AvailSet, ends []sim.JobEnd, now float6
 	}
 }
 
-// TestIncrementalProfileMatchesRebuild drives a randomized start/release
-// sequence through an AvailSet and asserts after every single operation that
-// the incrementally-maintained profile is identical to a fresh rebuild —
-// the exact per-pass reconstruction the simulator used to perform.
+// TestIncrementalProfileMatchesRebuild drives randomized start/release
+// sequences through an AvailSet and asserts after every single operation
+// that the incrementally-maintained profile is identical to a fresh rebuild
+// — the exact per-pass reconstruction the simulator used to perform. The
+// shapes steer the set's layout: releases from the front (the set's dead
+// prefix grows, and appends reaching capacity slide the live span down),
+// from the back and from the middle, and starts at the latest end or near
+// the earliest (inserts through the dead prefix).
 func TestIncrementalProfileMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260805))
-	for trial := 0; trial < 20; trial++ {
-		var set sim.AvailSet
-		var ref refMultiset
-		now := float64(rng.Intn(1000))
-		// Coarse end values force frequent exact collisions, exercising the
-		// aggregation paths (Procs summing, entry removal at zero).
-		endAt := func() float64 { return now + float64(rng.Intn(20)) - 2 }
-		for op := 0; op < 200; op++ {
-			if len(ref.ends) == 0 || rng.Intn(3) > 0 {
-				end, procs := endAt(), 1+rng.Intn(16)
-				set.Add(end, procs)
-				ref.add(end, procs)
-			} else {
-				e := ref.removeRandom(rng)
-				set.Remove(e.End, e.Procs)
+	shapes := []struct {
+		name   string
+		remove func(n int) int // rank in end order of the entry to release
+		spread int             // ends fall in [now-2, now-2+spread)
+		latest bool            // starts trend to the latest end
+	}{
+		{"random", nil, 20, false},
+		{"front", func(int) int { return 0 }, 400, true},
+		{"back", func(n int) int { return n - 1 }, 400, false},
+		{"middle", func(n int) int { return n / 2 }, 400, false},
+		{"front-early-starts", func(int) int { return 0 }, 400, false},
+	}
+	for _, sh := range shapes {
+		for trial := 0; trial < 8; trial++ {
+			var set sim.AvailSet
+			var ref refMultiset
+			now := float64(rng.Intn(1000))
+			// Coarse end values force frequent exact collisions, exercising
+			// the aggregation paths (Procs summing, entry removal at zero).
+			last := now
+			endAt := func() float64 {
+				if sh.latest {
+					last += float64(rng.Intn(3))
+					return last
+				}
+				if sh.remove != nil && rng.Intn(2) == 0 && len(ref.ends) > 0 {
+					// Near the earliest live end: the insert's shorter side
+					// is the front.
+					lo := ref.ends[0].End
+					for _, e := range ref.ends {
+						lo = min(lo, e.End)
+					}
+					return lo + float64(rng.Intn(3))
+				}
+				return now + float64(rng.Intn(sh.spread)) - 2
 			}
-			// now also advances between scheduling passes; check a few
-			// vantage points including times past some pending ends.
-			for _, at := range []float64{now, now + 5, now + 25} {
-				snapshotsEqual(t, &set, ref.ends, at, 4+rng.Intn(60), "op")
+			for op := 0; op < 300; op++ {
+				// Starts outnumber releases 2:1 until 40 ends are live,
+				// then the two balance.
+				if len(ref.ends) == 0 || rng.Intn(3) > 0 && len(ref.ends) < 40 || rng.Intn(2) == 0 {
+					end, procs := endAt(), 1+rng.Intn(16)
+					set.Add(end, procs)
+					ref.add(end, procs)
+				} else {
+					var e sim.JobEnd
+					if sh.remove == nil {
+						e = ref.removeRandom(rng)
+					} else {
+						e = ref.removeRank(sh.remove(len(ref.ends)))
+					}
+					set.Remove(e.End, e.Procs)
+				}
+				// now also advances between scheduling passes; check a few
+				// vantage points including times past some pending ends.
+				for _, at := range []float64{now, now + 5, now + 25} {
+					snapshotsEqual(t, &set, ref.ends, at, 4+rng.Intn(60), sh.name)
+				}
 			}
 		}
 	}
@@ -137,33 +193,56 @@ func TestPlannerMatchesNaiveAvailability(t *testing.T) {
 
 // FuzzIncrementalProfile feeds arbitrary operation tapes to the AvailSet and
 // asserts the rebuild invariant after every operation, then checks one
-// planning query against the naive model. Seeds cover aggregation (equal
-// ends), overdue ends (before now), and full-capacity sets.
+// planning query against the naive model. Each tape byte pair is an end
+// and an op: a start at that end, or a release of the oldest live entry
+// or of the live entry of a given rank in end order (front, back or
+// middle). Seeds cover aggregation (equal ends), overdue ends (before now),
+// full-capacity sets, and long front-release runs that grow the set's dead
+// prefix, insert through it, and slide the live span down.
 func FuzzIncrementalProfile(f *testing.F) {
 	f.Add([]byte{10, 4, 10, 4, 10, 8, 255, 1, 3, 2})
 	f.Add([]byte{0, 1, 0, 1, 0, 1, 200, 200, 9, 9})
 	f.Add([]byte{50, 16, 40, 8, 30, 4, 20, 2, 10, 1})
 	f.Add([]byte{1, 255, 2, 254, 3, 253})
+	// Completions in end order against monotone starts, with early starts
+	// and back/middle releases mixed in.
+	var tape []byte
+	for i := 0; i < 120; i++ {
+		tape = append(tape, byte(i*2), byte(i%5))
+		switch {
+		case i%3 == 2:
+			tape = append(tape, 0, 7) // release the front
+		case i%17 == 16:
+			tape = append(tape, byte(i), 2, 255, 7) // early start, release the back
+		case i%23 == 22:
+			tape = append(tape, 128, 7) // release the middle
+		}
+	}
+	f.Add(tape)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const now = 64.0
 		var set sim.AvailSet
-		var live []sim.JobEnd
+		var ref refMultiset
 		for i := 0; i+1 < len(data); i += 2 {
-			endByte, procByte := data[i], data[i+1]
-			if procByte%4 == 3 && len(live) > 0 {
+			endByte, opByte := data[i], data[i+1]
+			switch {
+			case opByte%8 == 3 && len(ref.ends) > 0:
 				// retract the oldest live entry
-				e := live[0]
-				live = live[1:]
+				e := ref.removeAt(0)
 				set.Remove(e.End, e.Procs)
-			} else {
+			case opByte%8 == 7 && len(ref.ends) > 0:
+				// retract by rank: endByte 0 is the front, 255 the back
+				e := ref.removeRank(int(endByte) * (len(ref.ends) - 1) / 255)
+				set.Remove(e.End, e.Procs)
+			default:
 				end := float64(endByte) // may be before, at, or after now
-				procs := 1 + int(procByte)%32
+				procs := 1 + int(opByte)%32
 				set.Add(end, procs)
-				live = append(live, sim.JobEnd{End: end, Procs: procs})
+				ref.add(end, procs)
 			}
 			gotT, gotF := set.Snapshot(now, 7)
-			wantT, wantF := sim.ReferenceSnapshot(now, 7, live)
+			wantT, wantF := sim.ReferenceSnapshot(now, 7, ref.ends)
 			if len(gotT) != len(wantT) {
 				t.Fatalf("op %d: %d breakpoints vs rebuilt %d", i/2, len(gotT), len(wantT))
 			}
@@ -175,8 +254,8 @@ func FuzzIncrementalProfile(f *testing.F) {
 			}
 		}
 		// One planning query against the naive reference model.
-		ends := make([]plannedEnd, len(live))
-		for i, e := range live {
+		ends := make([]plannedEnd, len(ref.ends))
+		for i, e := range ref.ends {
 			ends[i] = plannedEnd{end: e.End, procs: e.Procs}
 		}
 		fast := set.NewPlanner(now, 7)

@@ -32,27 +32,41 @@ type JobEnd struct {
 // The set is stored as parallel arrays rather than []JobEnd: the binary
 // search on the dispatch/release path probes only end times, and the dense
 // float64 array halves the cache lines each probe touches.
+//
+// The live entries are ends[head:] (and procs[head:]); the prefix before
+// head is dead space left by removals. Dispatches trend toward the latest
+// end and completions toward the earliest — on traces without walltimes,
+// where the planned end is the actual end, every completion is the front
+// entry — so both ends of the span must be cheap: Remove shifts whichever
+// side of the removed entry is shorter (a front removal is head++), and Add
+// inserts through the shorter side, using the dead prefix when there is
+// one. When an append reaches the backing array's capacity with dead space
+// in front, the live span slides down in place; the arrays grow only when
+// the live span fills them, exactly when a plain slice would, so forks and
+// reused runs keep their allocation pattern.
 type AvailSet struct {
-	ends  []float64 // ascending; one entry per distinct end time
+	ends  []float64 // ends[head:] ascending; one entry per distinct end time
 	procs []int     // cores held at ends[i], summed over aggregated jobs
+	head  int       // first live entry
 	ver   uint64    // bumped on every mutation; keys the simulator's profile cache
 }
 
 // Len returns the number of distinct planned end times in the set.
-func (a *AvailSet) Len() int { return len(a.ends) }
+func (a *AvailSet) Len() int { return len(a.ends) - a.head }
 
 // reset empties the set (keeping storage) for simulator reuse.
 func (a *AvailSet) reset() {
 	a.ends = a.ends[:0]
 	a.procs = a.procs[:0]
+	a.head = 0
 	a.ver++
 }
 
-// search returns the position of end in the aggregated slice, or the
+// search returns the position of end among the live entries, or the
 // insertion point when absent. Hand-rolled sort.Search: the closure call per
 // probe is measurable on the simulator's dispatch/release path.
 func (a *AvailSet) search(end float64) int {
-	lo, hi := 0, len(a.ends)
+	lo, hi := a.head, len(a.ends)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if a.ends[mid] < end {
@@ -64,22 +78,46 @@ func (a *AvailSet) search(end float64) int {
 	return lo
 }
 
-// Add records a started job's planned end. O(log n) search plus an O(n)
-// memmove in the worst case; ends aggregate, so n is the number of distinct
-// end times among running jobs, not the number of running jobs.
+// slideDown moves the live span to the start of the backing arrays.
+func (a *AvailSet) slideDown() {
+	n := copy(a.ends, a.ends[a.head:])
+	copy(a.procs, a.procs[a.head:])
+	a.ends, a.procs, a.head = a.ends[:n], a.procs[:n], 0
+}
+
+// Add records a started job's planned end: O(log n) search plus a shift of
+// the shorter side of the insertion point (none for a new latest end, the
+// common case); n counts distinct end times among running jobs, not
+// running jobs.
 func (a *AvailSet) Add(end float64, procs int) {
 	a.ver++
-	// Dispatches trend toward the planning horizon, so the new end is very
-	// often the latest; append without searching when it is.
-	if n := len(a.ends); n == 0 || end > a.ends[n-1] {
+	n := len(a.ends)
+	if n == a.head || end > a.ends[n-1] {
+		// Dispatches trend toward the planning horizon, so the new end is
+		// very often the latest; append without searching when it is.
+		if n == cap(a.ends) && a.head > 0 {
+			a.slideDown()
+		}
 		a.ends = append(a.ends, end)
 		a.procs = append(a.procs, procs)
 		return
 	}
 	i := a.search(end)
-	if i < len(a.ends) && a.ends[i] == end {
+	if a.ends[i] == end { // i < n: end <= the latest live end
 		a.procs[i] += procs
 		return
+	}
+	if h := a.head; h > 0 && i-h < n-i {
+		// Shift the entries before i down into the dead prefix.
+		copy(a.ends[h-1:i-1], a.ends[h:i])
+		copy(a.procs[h-1:i-1], a.procs[h:i])
+		a.head--
+		a.ends[i-1], a.procs[i-1] = end, procs
+		return
+	}
+	if n == cap(a.ends) && a.head > 0 {
+		a.slideDown()
+		i -= n - len(a.ends)
 	}
 	a.ends = append(a.ends, 0)
 	copy(a.ends[i+1:], a.ends[i:])
@@ -92,20 +130,33 @@ func (a *AvailSet) Add(end float64, procs int) {
 // Remove retracts a previously-added planned end (on job release). The
 // (end, procs) pair must have been Added before; the simulator guarantees
 // this by storing the exact planned end on the running record, so the float
-// equality match is exact by construction.
+// equality match is exact by construction. A retracted entry costs a shift
+// of the shorter side of it: nothing at the front.
 func (a *AvailSet) Remove(end float64, procs int) {
 	a.ver++
+	h, n := a.head, len(a.ends)
 	// Completions trend toward the earliest planned end; check the front
 	// before searching.
-	i := 0
-	if len(a.ends) == 0 || a.ends[0] != end {
+	i := h
+	if h == n || a.ends[h] != end {
 		i = a.search(end)
 	}
-	if i >= len(a.ends) || a.ends[i] != end || a.procs[i] < procs {
+	if i >= n || a.ends[i] != end || a.procs[i] < procs {
 		panic("sim: AvailSet.Remove of an end that was never added")
 	}
 	a.procs[i] -= procs
-	if a.procs[i] == 0 {
+	if a.procs[i] != 0 {
+		return
+	}
+	switch {
+	case n-h == 1:
+		// Emptied: restart at the front of the arrays.
+		a.ends, a.procs, a.head = a.ends[:0], a.procs[:0], 0
+	case i-h < n-1-i:
+		copy(a.ends[h+1:i+1], a.ends[h:i])
+		copy(a.procs[h+1:i+1], a.procs[h:i])
+		a.head++
+	default:
 		a.ends = append(a.ends[:i], a.ends[i+1:]...)
 		a.procs = append(a.procs[:i], a.procs[i+1:]...)
 	}
@@ -121,7 +172,7 @@ func (a *AvailSet) Remove(end float64, procs int) {
 // keys on.
 func (a *AvailSet) buildInto(p *profile, now float64, freeNow int) (nextEnd float64) {
 	cur := freeNow
-	i := 0
+	i := a.head
 	for ; i < len(a.ends) && a.ends[i] <= now; i++ {
 		cur += a.procs[i]
 	}

@@ -337,8 +337,9 @@ func cloneSimulator(dst, src *simulator) {
 		for i := sp.q.head; i < len(sp.q.buf); i++ {
 			dp.q.buf[i] = &dst.pendings[sp.q.buf[i].idx]
 		}
-		dp.avail.ends = append([]float64(nil), sp.avail.ends...)
-		dp.avail.procs = append([]int(nil), sp.avail.procs...)
+		dp.avail.ends = append([]float64(nil), sp.avail.ends[sp.avail.head:]...)
+		dp.avail.procs = append([]int(nil), sp.avail.procs[sp.avail.head:]...)
+		dp.avail.head = 0
 		dp.avail.ver = sp.avail.ver
 		// fitBound is authoritative (a sound lower bound the original run
 		// would carry forward identically); the caches restart cold.

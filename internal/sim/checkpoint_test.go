@@ -120,6 +120,58 @@ func TestCheckpointForkMatchesColdRun(t *testing.T) {
 	}
 }
 
+// TestCheckpointForkWithAvailHead: without walltimes the planned end is the
+// actual end, so completions retire the front of each partition's AvailSet
+// and leave dead space before its head. Forks taken while head > 0 (the
+// clone copies only the live span) and the checkpoint itself, extended and
+// advanced past further completions, must still match cold runs.
+func TestCheckpointForkWithAvailHead(t *testing.T) {
+	tr := ckTrace(t)
+	for i := range tr.Jobs {
+		tr.Jobs[i].Walltime = 0
+	}
+	n := len(tr.Jobs)
+	opt := Options{Policy: FCFS, Backfill: EASY}
+	cold := func(k int) *Result {
+		t.Helper()
+		res, err := Run(&trace.Trace{System: tr.System, Jobs: tr.Jobs[:k]}, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	half := &trace.Trace{System: tr.System, Jobs: tr.Jobs[:n/2]}
+	ck, err := RunToCheckpoint(half, opt, tr.Jobs[n/4].Submit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sawHead := false
+	for step, pause := range []float64{tr.Jobs[n/4].Submit, tr.Jobs[n/3].Submit, tr.Jobs[n/2-1].Submit} {
+		if err := ck.AdvanceTo(pause); err != nil {
+			t.Fatal(err)
+		}
+		for p := range ck.s.parts {
+			sawHead = sawHead || ck.s.parts[p].avail.head > 0
+		}
+		got, err := ck.WhatIf(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckSameResult(t, fmt.Sprintf("step %d", step), got, cold(n/2))
+	}
+	if !sawHead {
+		t.Fatal("no partition's AvailSet had dead space before its head at a fork")
+	}
+	if err := ck.Extend(tr.Jobs[n/2:]); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ck.WhatIf(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckSameResult(t, "extended", got, cold(n))
+}
+
 // TestCheckpointAdvanceAndExtend: feeding the trace in slices — extend,
 // advance, extend — must land on the same result as one cold run of the
 // full trace, and forks must not disturb the checkpoint they fork from.

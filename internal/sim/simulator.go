@@ -549,7 +549,7 @@ func (s *simulator) runUntil(pause float64) error {
 		// event time, so it must be known before the clock can advance.
 		if s.in != nil {
 			if err := s.in.fill(s); err != nil {
-				return s.streamReadError(s.next, err)
+				return err
 			}
 		}
 		more := s.next < len(s.jobs)
@@ -664,7 +664,7 @@ func (s *simulator) runUntil(pause float64) error {
 			var pj *pending
 			if s.in != nil {
 				var err error
-				j, pj, err = s.streamArrival(s.next, t)
+				j, pj, err = s.streamArrival(t)
 				if err != nil {
 					return err
 				}

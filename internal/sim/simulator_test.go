@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 
 	"crosssched/internal/dist"
@@ -338,6 +341,70 @@ func TestInvalidTraceRejected(t *testing.T) {
 	tr := mk(10, []trace.Job{{Submit: 0, Run: 1, Procs: 0, User: 0}})
 	if _, err := Run(tr, Options{}); err == nil {
 		t.Fatal("invalid trace accepted")
+	}
+}
+
+// TestNonFiniteTimesRejected feeds traces whose submit, wait, run or
+// walltime is NaN or infinite through every reader and through Run and
+// RunStream on a hand-built trace: each must return an error, never panic.
+// A NaN or infinite run or walltime used to reach the simulator and panic
+// in AvailSet.Remove; a NaN submit averaged into a NaN wait.
+func TestNonFiniteTimesRejected(t *testing.T) {
+	const header = "; MaxProcs: 8\n1 0.00 0.00 10.00 2 -1 -1 2 12.00 -1 1 1 -1 -1 -1 -1 -1 -1\n"
+	for _, c := range []struct {
+		field string
+		val   string
+	}{
+		{"submit", "NaN"}, {"submit", "+Inf"},
+		{"wait", "NaN"}, {"wait", "Inf"}, {"wait", "-Inf"},
+		{"run", "NaN"}, {"run", "inf"},
+		{"walltime", "nan"}, {"walltime", "+Inf"},
+	} {
+		t.Run(c.field+"="+c.val, func(t *testing.T) {
+			swf := map[string]string{"submit": "1.00", "wait": "0.00", "run": "5.00", "walltime": "6.00"}
+			swf[c.field] = c.val
+			line := fmt.Sprintf("2 %s %s %s 2 -1 -1 2 %s -1 1 1 -1 -1 -1 -1 -1 -1\n",
+				swf["submit"], swf["wait"], swf["run"], swf["walltime"])
+			wantLine := "swf line 3: non-finite " + c.field
+			if _, err := trace.ReadSWF(strings.NewReader(header + line)); err == nil || !strings.Contains(err.Error(), wantLine) {
+				t.Errorf("ReadSWF: got %v, want %q", err, wantLine)
+			}
+			st, err := trace.NewSWFStream(strings.NewReader(header + line))
+			if err == nil {
+				_, err = trace.Collect(st)
+			}
+			if err == nil || !strings.Contains(err.Error(), wantLine) {
+				t.Errorf("SWFStream: got %v, want %q", err, wantLine)
+			}
+			csvText := fmt.Sprintf("id,user,submit,wait,run,walltime,procs,vc,status\n0,0,0,0,10,12,2,-1,Passed\n1,0,%s,%s,%s,%s,2,-1,Passed\n",
+				swf["submit"], swf["wait"], swf["run"], swf["walltime"])
+			wantRow := "csv row 3: non-finite " + c.field
+			if _, err := trace.ReadCSV(strings.NewReader(csvText), trace.System{TotalCores: 8}); err == nil || !strings.Contains(err.Error(), wantRow) {
+				t.Errorf("ReadCSV: got %v, want %q", err, wantRow)
+			}
+			if _, err := trace.Collect(trace.NewCSVStream(strings.NewReader(csvText), trace.System{TotalCores: 8})); err == nil || !strings.Contains(err.Error(), wantRow) {
+				t.Errorf("CSVStream: got %v, want %q", err, wantRow)
+			}
+
+			// The same job handed to the simulator directly.
+			v, err := strconv.ParseFloat(c.val, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := trace.Job{Submit: 1, Run: 5, Walltime: 6, Procs: 2}
+			*map[string]*float64{"submit": &bad.Submit, "wait": &bad.Wait, "run": &bad.Run, "walltime": &bad.Walltime}[c.field] = v
+			jobs := []trace.Job{{Submit: 0, Run: 10, Walltime: 12, Procs: 2, VC: -1}, bad}
+			tr := trace.New(trace.System{Name: "T", TotalCores: 8})
+			tr.Jobs = jobs
+			tr.Jobs[1].ID, tr.Jobs[1].VC = 1, -1
+			wantSim := "non-finite " + c.field
+			if _, err := Run(tr, Options{Policy: FCFS, Backfill: EASY}); err == nil || !strings.Contains(err.Error(), wantSim) {
+				t.Errorf("Run: got %v, want %q", err, wantSim)
+			}
+			if _, err := RunStream(trace.NewSliceStream(tr), Options{Policy: FCFS, Backfill: EASY}, nil); err == nil || !strings.Contains(err.Error(), wantSim) {
+				t.Errorf("RunStream: got %v, want %q", err, wantSim)
+			}
+		})
 	}
 }
 

@@ -212,36 +212,39 @@ type horizonStream interface {
 // once the stream guarantees no arrival at or before the simulator's next
 // internal event (the earliest pending completion), so shards are never
 // deadlocked waiting for arrivals that sit behind other shards' traffic.
+//
+// The job is validated here, mirroring what Trace.Validate checks up front
+// on the materialized path: the lookahead's submit competes for the next
+// event time, and an infinite one would end the run with the job silently
+// never admitted.
 func (in *streamIntake) fill(s *simulator) error {
 	if in.lookOK || in.eof {
 		return nil
 	}
+	var j trace.Job
+	ok := true
+	var err error
 	if in.hz != nil {
 		need := math.Inf(1)
 		if s.compl.len() > 0 {
 			need = s.compl.min().real
 		}
-		j, ok, err := in.hz.NextBefore(need)
-		if err == io.EOF {
-			in.eof = true
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if ok {
-			in.look = j
-			in.lookOK = true
-		}
-		return nil
+		j, ok, err = in.hz.NextBefore(need)
+	} else {
+		j, err = in.src.Next()
 	}
-	j, err := in.src.Next()
 	if err == io.EOF {
 		in.eof = true
 		return nil
 	}
 	if err != nil {
-		return err
+		return s.streamReadError(err)
+	}
+	if !ok {
+		return nil
+	}
+	if err := j.Validate(); err != nil {
+		return fmt.Errorf("sim: stream: %w", err)
 	}
 	in.look = j
 	in.lookOK = true
@@ -250,8 +253,8 @@ func (in *streamIntake) fill(s *simulator) error {
 
 // streamReadError wraps a trace-stream failure with run position; the run
 // aborts, but opt.Metrics still receives the progress made.
-func (s *simulator) streamReadError(next int, err error) error {
-	return fmt.Errorf("sim: trace stream failed at t=%v after %d arrivals: %w", s.now, next, err)
+func (s *simulator) streamReadError(err error) error {
+	return fmt.Errorf("sim: trace stream failed at t=%v after %d arrivals: %w", s.now, s.next, err)
 }
 
 // resetStream prepares the simulator for a streaming run. The per-job
@@ -288,21 +291,18 @@ func (s *simulator) resetStream(ctx context.Context, opt Options, cl *cluster.Cl
 // streamArrival admits the lookahead job when it is due at t, returning
 // window pointers valid until the next admission. It returns (nil, nil,
 // nil) when the next arrival is later than t or the stream is drained.
-func (s *simulator) streamArrival(next int, t float64) (*trace.Job, *pending, error) {
+func (s *simulator) streamArrival(t float64) (*trace.Job, *pending, error) {
 	in := s.in
 	if err := in.fill(s); err != nil {
-		return nil, nil, s.streamReadError(next, err)
+		return nil, nil, err
 	}
 	if !in.lookOK || in.look.Submit > t {
 		return nil, nil, nil
 	}
 	j := in.look
 	in.lookOK = false
-	// Admission-time validation mirrors what Trace.Validate and the
-	// partition-fit loop check up front on the materialized path.
-	if err := j.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("sim: stream: %w", err)
-	}
+	// Admission-time checks mirror the submit-order and partition-fit
+	// checks the materialized path makes up front (fill validated j).
 	if j.Submit < in.lastSubmit {
 		return nil, nil, fmt.Errorf("sim: stream: job %d out of submit order (%v after %v)", j.ID, j.Submit, in.lastSubmit)
 	}

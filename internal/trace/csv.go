@@ -219,5 +219,8 @@ func parseCSVRecord(rec []string) (Job, error) {
 	if j.Status, err = ParseStatus(rec[8]); err != nil {
 		return j, err
 	}
+	if err := j.checkFinite(); err != nil {
+		return j, err
+	}
 	return j, nil
 }

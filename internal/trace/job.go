@@ -146,6 +146,9 @@ func (j Job) Validate() error { return j.validate() }
 // runs it over every job on each simulation start (sim.Runner revalidates
 // per run), where the per-job record copy is measurable.
 func (j *Job) validate() error {
+	if err := j.checkFinite(); err != nil {
+		return fmt.Errorf("trace: job %d: %w", j.ID, err)
+	}
 	switch {
 	case j.Submit < 0:
 		return fmt.Errorf("trace: job %d: negative submit %v", j.ID, j.Submit)
@@ -157,6 +160,28 @@ func (j *Job) validate() error {
 		return fmt.Errorf("trace: job %d: negative walltime %v", j.ID, j.Walltime)
 	case j.User < 0:
 		return fmt.Errorf("trace: job %d: negative user %d", j.ID, j.User)
+	}
+	return nil
+}
+
+// checkFinite rejects NaN and ±Inf times: a NaN compares false against
+// everything, so it slips past the sign checks and the submit-order check,
+// and an infinite runtime never ends. The readers call it so a bad field is
+// reported with its line or row number; the finite -1 "unknown wait"
+// sentinel passes.
+func (j *Job) checkFinite() error {
+	// x-x is 0 for finite x and NaN for NaN and ±Inf. The first test keeps
+	// the per-run validation path to four subtractions.
+	if j.Submit-j.Submit == 0 && j.Wait-j.Wait == 0 && j.Run-j.Run == 0 && j.Walltime-j.Walltime == 0 {
+		return nil
+	}
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"submit", j.Submit}, {"wait", j.Wait}, {"run", j.Run}, {"walltime", j.Walltime}} {
+		if f.v-f.v != 0 {
+			return fmt.Errorf("non-finite %s %v", f.name, f.v)
+		}
 	}
 	return nil
 }

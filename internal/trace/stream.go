@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"bufio"
-	"io"
-)
+import "io"
 
 // Stream is a pull iterator over a trace's jobs in submit order. It is the
 // bounded-memory counterpart of Trace: million-to-ten-million-job inputs
@@ -65,44 +62,4 @@ func Collect(s Stream) (*Trace, error) {
 	t := New(s.System())
 	t.Jobs = jobs
 	return t, nil
-}
-
-// lineReader yields lines of unbounded length with 1-based numbering. It
-// replaces bufio.Scanner in the SWF path: Scanner's token limit made long
-// header comments or data lines fail regardless of buffer tuning, while
-// ReadSlice accumulation grows to whatever the line needs.
-type lineReader struct {
-	br  *bufio.Reader
-	buf []byte
-	n   int // lines returned so far
-}
-
-func newLineReader(r io.Reader) *lineReader {
-	return &lineReader{br: bufio.NewReaderSize(r, 64*1024)}
-}
-
-// next returns the next line (newline included when present — callers trim)
-// and its 1-based line number. io.EOF signals the end; a final unterminated
-// line is returned before the EOF.
-func (lr *lineReader) next() (string, int, error) {
-	lr.buf = lr.buf[:0]
-	for {
-		frag, err := lr.br.ReadSlice('\n')
-		lr.buf = append(lr.buf, frag...)
-		switch err {
-		case bufio.ErrBufferFull:
-			continue
-		case nil:
-			lr.n++
-			return string(lr.buf), lr.n, nil
-		case io.EOF:
-			if len(lr.buf) == 0 {
-				return "", lr.n, io.EOF
-			}
-			lr.n++
-			return string(lr.buf), lr.n, nil
-		default:
-			return "", lr.n, err
-		}
-	}
 }

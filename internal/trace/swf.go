@@ -27,6 +27,7 @@ const swfFields = 18
 // suffices.
 type SWFWriter struct {
 	bw  *bufio.Writer
+	buf []byte // the line being built, reused across Write calls
 	err error
 }
 
@@ -48,7 +49,7 @@ func (sw *SWFWriter) Write(j *Job) error {
 	if sw.err != nil {
 		return sw.err
 	}
-	status := 1
+	status := int64(1)
 	switch j.Status {
 	case Failed:
 		status = 0
@@ -60,10 +61,31 @@ func (sw *SWFWriter) Write(j *Job) error {
 		wait = -1
 	}
 	// Fields: job# submit wait run usedProcs avgCPU usedMem reqProcs
-	// reqTime reqMem status user group app queue partition prevJob think
-	_, sw.err = fmt.Fprintf(sw.bw, "%d %.2f %.2f %.2f %d -1 -1 %d %.2f -1 %d %d -1 -1 %d -1 -1 -1\n",
-		j.ID+1, j.Submit, wait, j.Run, j.Procs, j.Procs, j.Walltime,
-		status, j.User+1, j.VC)
+	// reqTime reqMem status user group app queue partition prevJob think.
+	// Byte-identical to the format
+	// "%d %.2f %.2f %.2f %d -1 -1 %d %.2f -1 %d %d -1 -1 %d -1 -1 -1\n".
+	b := strconv.AppendInt(sw.buf[:0], int64(j.ID+1), 10)
+	b = append(b, ' ')
+	b = appendFixed2(b, j.Submit)
+	b = append(b, ' ')
+	b = appendFixed2(b, wait)
+	b = append(b, ' ')
+	b = appendFixed2(b, j.Run)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(j.Procs), 10)
+	b = append(b, " -1 -1 "...)
+	b = strconv.AppendInt(b, int64(j.Procs), 10)
+	b = append(b, ' ')
+	b = appendFixed2(b, j.Walltime)
+	b = append(b, " -1 "...)
+	b = strconv.AppendInt(b, status, 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(j.User+1), 10)
+	b = append(b, " -1 -1 "...)
+	b = strconv.AppendInt(b, int64(j.VC), 10)
+	b = append(b, " -1 -1 -1\n"...)
+	sw.buf = b
+	_, sw.err = sw.bw.Write(b)
 	return sw.err
 }
 
@@ -114,35 +136,27 @@ func WriteSWFStream(w io.Writer, s Stream) (int, error) {
 // NewSWFStream for bounded-memory iteration over large, already-sorted
 // files.
 func ReadSWF(r io.Reader) (*Trace, error) {
-	lr := newLineReader(r)
+	sc := newSWFScanner(r)
 	t := New(System{})
 	var jobLines []int // source line of each job, for post-parse validation
 	for {
-		line, lineNo, err := lr.next()
+		nf, err := sc.next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		line = strings.TrimSpace(line)
-		if line == "" {
+		if sc.isHeader() {
+			parseSWFHeader(&t.System, sc.header())
 			continue
 		}
-		if strings.HasPrefix(line, ";") {
-			parseSWFHeader(&t.System, line)
-			continue
-		}
-		f := strings.Fields(line)
-		if len(f) < swfFields {
-			return nil, fmt.Errorf("trace: swf line %d: %d fields, want %d", lineNo, len(f), swfFields)
-		}
-		j, err := parseSWFLine(f)
+		j, err := sc.job(nf)
 		if err != nil {
-			return nil, fmt.Errorf("trace: swf line %d: %w", lineNo, err)
+			return nil, err
 		}
 		t.Jobs = append(t.Jobs, j)
-		jobLines = append(jobLines, lineNo)
+		jobLines = append(jobLines, sc.lineNo)
 	}
 	if t.System.TotalCores == 0 {
 		for i := range t.Jobs {
@@ -175,10 +189,10 @@ func ReadSWF(r io.Reader) (*Trace, error) {
 // densely in stream order, exactly as ReadSWF's sort pass would for sorted
 // input; parse and contract violations carry 1-based line numbers.
 type SWFStream struct {
-	lr          *lineReader
+	sc          *swfScanner
 	sys         System
-	pending     string // first job line, peeked past the header by New
-	pendingLine int
+	pending     Job // first job line, parsed while New peeked past the header
+	pendingErr  error
 	havePending bool
 	done        bool
 	n           int     // jobs emitted
@@ -187,9 +201,9 @@ type SWFStream struct {
 
 // NewSWFStream consumes the header prefix of r and returns the stream.
 func NewSWFStream(r io.Reader) (*SWFStream, error) {
-	s := &SWFStream{lr: newLineReader(r)}
+	s := &SWFStream{sc: newSWFScanner(r)}
 	for {
-		line, lineNo, err := s.lr.next()
+		nf, err := s.sc.next()
 		if err == io.EOF {
 			s.done = true
 			return s, nil
@@ -197,15 +211,14 @@ func NewSWFStream(r io.Reader) (*SWFStream, error) {
 		if err != nil {
 			return nil, err
 		}
-		line = strings.TrimSpace(line)
-		if line == "" {
+		if s.sc.isHeader() {
+			parseSWFHeader(&s.sys, s.sc.header())
 			continue
 		}
-		if strings.HasPrefix(line, ";") {
-			parseSWFHeader(&s.sys, line)
-			continue
-		}
-		s.pending, s.pendingLine, s.havePending = line, lineNo, true
+		// Parse now: the scanner's fields alias its line buffer, which the
+		// next read reuses. Errors surface from the first Next, as before.
+		s.pending, s.pendingErr = s.sc.job(nf)
+		s.havePending = true
 		return s, nil
 	}
 }
@@ -216,55 +229,111 @@ func (s *SWFStream) System() System { return s.sys }
 
 // Next returns the next job, io.EOF at the end, or a line-numbered error.
 func (s *SWFStream) Next() (Job, error) {
-	for {
-		var line string
-		var lineNo int
-		switch {
-		case s.havePending:
-			line, lineNo = s.pending, s.pendingLine
-			s.havePending = false
-			s.pending = ""
-		case s.done:
+	var j Job
+	var err error
+	switch {
+	case s.havePending:
+		j, err = s.pending, s.pendingErr
+		s.havePending = false
+	case s.done:
+		return Job{}, io.EOF
+	default:
+		var nf int
+		nf, err = s.sc.next()
+		if err == io.EOF {
+			s.done = true
 			return Job{}, io.EOF
-		default:
-			var err error
-			line, lineNo, err = s.lr.next()
-			if err == io.EOF {
-				s.done = true
-				return Job{}, io.EOF
-			}
-			if err != nil {
-				return Job{}, err
-			}
-			line = strings.TrimSpace(line)
-			if line == "" {
-				continue
-			}
-			if strings.HasPrefix(line, ";") {
-				return Job{}, fmt.Errorf("trace: swf line %d: header comment after job lines (streaming needs a header prefix; use ReadSWF)", lineNo)
-			}
 		}
-		f := strings.Fields(line)
-		if len(f) < swfFields {
-			return Job{}, fmt.Errorf("trace: swf line %d: %d fields, want %d", lineNo, len(f), swfFields)
-		}
-		j, err := parseSWFLine(f)
 		if err != nil {
-			return Job{}, fmt.Errorf("trace: swf line %d: %w", lineNo, err)
+			return Job{}, err
 		}
-		if s.n > 0 && j.Submit < s.last {
-			return Job{}, fmt.Errorf("trace: swf line %d: submit %v before previous %v (streaming needs submit-sorted input; use ReadSWF)",
-				lineNo, j.Submit, s.last)
+		if s.sc.isHeader() {
+			return Job{}, fmt.Errorf("trace: swf line %d: header comment after job lines (streaming needs a header prefix; use ReadSWF)", s.sc.lineNo)
 		}
-		if s.sys.TotalCores > 0 && j.Procs > s.sys.TotalCores {
-			return Job{}, fmt.Errorf("trace: swf line %d: job %d requests %d procs, system has %d",
-				lineNo, j.ID+1, j.Procs, s.sys.TotalCores)
-		}
-		s.last = j.Submit
-		j.ID = s.n
-		s.n++
-		return j, nil
+		j, err = s.sc.job(nf)
 	}
+	if err != nil {
+		return Job{}, err
+	}
+	// The pending job was the last line read, so lineNo is still its line.
+	lineNo := s.sc.lineNo
+	if s.n > 0 && j.Submit < s.last {
+		return Job{}, fmt.Errorf("trace: swf line %d: submit %v before previous %v (streaming needs submit-sorted input; use ReadSWF)",
+			lineNo, j.Submit, s.last)
+	}
+	if s.sys.TotalCores > 0 && j.Procs > s.sys.TotalCores {
+		return Job{}, fmt.Errorf("trace: swf line %d: job %d requests %d procs, system has %d",
+			lineNo, j.ID+1, j.Procs, s.sys.TotalCores)
+	}
+	s.last = j.Submit
+	j.ID = s.n
+	s.n++
+	return j, nil
+}
+
+// swfScanner is the line scanner both SWF readers share. It reads lines of
+// unbounded length with 1-based numbering (bufio.Scanner's token limit made
+// long header comments or data lines fail regardless of buffer tuning;
+// ReadSlice accumulation grows to whatever the line needs), skips blank
+// lines, and splits the rest into fields that alias the reader's buffers,
+// so a job line costs no allocation.
+type swfScanner struct {
+	br     *bufio.Reader
+	buf    []byte // accumulates a line longer than br's buffer
+	line   []byte
+	f      [swfFields][]byte // the first swfFields fields of line
+	lineNo int               // lines read so far
+}
+
+func newSWFScanner(r io.Reader) *swfScanner {
+	return &swfScanner{br: bufio.NewReaderSize(r, 64*1024)}
+}
+
+// next advances to the next non-blank line and returns its field count.
+// The line and its fields stay valid until the following call. io.EOF
+// signals the end; a final unterminated line is returned before the EOF.
+func (sc *swfScanner) next() (int, error) {
+	for {
+		line, err := sc.br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			sc.buf = append(sc.buf[:0], line...)
+			for err == bufio.ErrBufferFull {
+				line, err = sc.br.ReadSlice('\n')
+				sc.buf = append(sc.buf, line...)
+			}
+			line = sc.buf
+		}
+		switch {
+		case err == io.EOF && len(line) == 0:
+			return 0, io.EOF
+		case err != nil && err != io.EOF:
+			return 0, err
+		}
+		sc.lineNo++
+		if nf := splitFields(&sc.f, line); nf > 0 {
+			sc.line = line
+			return nf, nil
+		}
+	}
+}
+
+// isHeader reports whether the current line is a ";" comment.
+func (sc *swfScanner) isHeader() bool { return sc.f[0][0] == ';' }
+
+// header returns the current line trimmed, for parseSWFHeader.
+func (sc *swfScanner) header() string { return strings.TrimSpace(string(sc.line)) }
+
+// job parses the current line (of nf fields) into a Job, with line-numbered
+// errors.
+func (sc *swfScanner) job(nf int) (Job, error) {
+	if nf < swfFields {
+		return Job{}, fmt.Errorf("trace: swf line %d: %d fields, want %d", sc.lineNo, nf, swfFields)
+	}
+	j, err := parseSWFLine(&sc.f)
+	if err != nil {
+		return Job{}, fmt.Errorf("trace: swf line %d: %w", sc.lineNo, err)
+	}
+	return j, nil
 }
 
 func parseSWFHeader(sys *System, line string) {
@@ -305,10 +374,10 @@ func parseSWFHeader(sys *System, line string) {
 	}
 }
 
-func parseSWFLine(f []string) (Job, error) {
+func parseSWFLine(f *[swfFields][]byte) (Job, error) {
 	var j Job
 	var err error
-	get := func(i int) (float64, error) { return strconv.ParseFloat(f[i], 64) }
+	get := func(i int) (float64, error) { return parseSWFNum(f[i]) }
 
 	id, err := get(0)
 	if err != nil {
@@ -375,5 +444,9 @@ func parseSWFLine(f []string) (Job, error) {
 		return j, fmt.Errorf("vc: %w", err)
 	}
 	j.VC = int(vc)
+	// Checked last so every other rejection keeps its precedence.
+	if err := j.checkFinite(); err != nil {
+		return j, err
+	}
 	return j, nil
 }

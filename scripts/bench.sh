@@ -34,8 +34,9 @@ out=${3:-}
 cd "$(dirname "$0")/.."
 
 # The root package holds the simulator and sweep benchmarks; internal/twin
-# holds the digital-twin session benchmark.
-raw=$(go test -run '^$' -bench "$pattern" -benchmem -count "$count" . ./internal/twin)
+# holds the digital-twin session benchmark and internal/trace the SWF codec
+# benchmarks.
+raw=$(go test -run '^$' -bench "$pattern" -benchmem -count "$count" . ./internal/twin ./internal/trace)
 printf '%s\n' "$raw" >&2
 
 json=$(printf '%s\n' "$raw" | awk '
