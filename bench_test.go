@@ -11,7 +11,6 @@ package crosssched
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -391,13 +390,12 @@ func BenchmarkStreamSimulatorEASY(b *testing.B) {
 
 // streamPipeline measures the full out-of-core pipeline — synthetic
 // generator streaming into the windowed simulator, rows discarded at the
-// sink — on a Helios-like workload (~6.8k jobs/day). A sampler goroutine
-// records the peak live heap; on long traces it stays bounded by the
-// sliding window (active jobs plus arrivals overlapping the
-// longest-running job), not the trace length.
-func streamPipeline(b *testing.B, days float64) {
+// sink — on the workload p generates (Helios: ~6.8k jobs/day, Philly:
+// ~5.1k across 14 VCs). A sampler goroutine records the peak live heap; on
+// long traces it stays bounded by the sliding window (active jobs plus
+// arrivals overlapping the longest-running job), not the trace length.
+func streamPipeline(b *testing.B, p *synth.Profile) {
 	b.Helper()
-	p := synth.Helios(days)
 	var jobs int64
 	var peak uint64
 	b.ResetTimer()
@@ -439,116 +437,33 @@ func streamPipeline(b *testing.B, days float64) {
 
 // BenchmarkStreamPipelineHelios is the CI-scale pipeline benchmark
 // (~200k jobs end to end per iteration).
-func BenchmarkStreamPipelineHelios(b *testing.B) { streamPipeline(b, 30) }
+func BenchmarkStreamPipelineHelios(b *testing.B) { streamPipeline(b, synth.Helios(30)) }
 
 // BenchmarkStreamSimulator10M generates and schedules ~10 million jobs per
 // iteration (~60s); select it explicitly (scripts/bench.sh
 // BenchmarkStreamSimulator10M 1) rather than in the smoke pattern. The
 // peak-heap-MB metric demonstrating the O(window) bound is recorded in
 // BENCH_pr7.json.
-func BenchmarkStreamSimulator10M(b *testing.B) { streamPipeline(b, 1465) }
+func BenchmarkStreamSimulator10M(b *testing.B) { streamPipeline(b, synth.Helios(1465)) }
 
-// --- Sharded-execution benchmarks: the partition-sharded parallel path
-// (internal/sim/shard.go). Philly's 14 isolated virtual clusters are the
-// motivating shape: partitions never interact under partition-local
-// policies, so the trace splits into independent shards stitched back
-// deterministically. The shards=1 sub-benchmark is the single-shard
-// reference the >= 2x jobs/s acceptance bar at shards=4 is measured
-// against (BENCH_pr9.json).
-
-// BenchmarkShardedSimulator measures the materialized sharded path on a
-// congested Philly-like workload (~40k jobs across 14 VCs per iteration).
-func BenchmarkShardedSimulator(b *testing.B) {
+// BenchmarkSimulatorPhilly measures the materialized simulator on a
+// congested Philly-like workload (~40k jobs across 14 VCs per iteration),
+// the most-partitioned built-in system.
+func BenchmarkSimulatorPhilly(b *testing.B) {
 	tr := benchTrace(b, "Philly", 8)
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			var met obs.Metrics
-			opt := sim.Options{Policy: sim.FCFS, Backfill: sim.EASY, Shards: shards, Metrics: &met}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.Run(tr, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if shards > 1 && met.ShardFallbackReason != "" {
-				b.Fatalf("sharded run fell back: %s", met.ShardFallbackReason)
-			}
-			b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "jobs/s")
-		})
-	}
-}
-
-// streamShardedPipeline is streamPipeline on the partitioned Philly
-// generator with a forced shard count: generator -> watermarked per-shard
-// readers -> pooled shard simulators -> deterministic stitch, rows
-// discarded at the sink. Peak heap stays O(shards x window).
-func streamShardedPipeline(b *testing.B, days float64, shards int) {
-	b.Helper()
-	p := synth.Philly(days)
-	var jobs int64
-	var peak uint64
+	opt := sim.Options{Policy: sim.FCFS, Backfill: sim.EASY}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var ms runtime.MemStats
-			for {
-				runtime.ReadMemStats(&ms)
-				if ms.HeapAlloc > peak {
-					peak = ms.HeapAlloc
-				}
-				select {
-				case <-stop:
-					return
-				case <-time.After(10 * time.Millisecond):
-				}
-			}
-		}()
-		src, err := p.Stream(uint64(i + 1))
-		if err != nil {
+		if _, err := sim.Run(tr, opt); err != nil {
 			b.Fatal(err)
 		}
-		var met obs.Metrics
-		opt := sim.Options{Policy: sim.FCFS, Backfill: sim.EASY, Shards: shards, Metrics: &met}
-		if _, err := sim.RunStream(src, opt, func(sim.StreamRow) error { return nil }); err != nil {
-			b.Fatal(err)
-		}
-		if shards > 1 && met.ShardFallbackReason != "" {
-			b.Fatalf("sharded stream fell back: %s", met.ShardFallbackReason)
-		}
-		jobs += met.JobsRetired
-		close(stop)
-		wg.Wait()
 	}
-	b.ReportMetric(float64(jobs)/b.Elapsed().Seconds(), "jobs/s")
-	b.ReportMetric(float64(peak)/(1<<20), "peak-heap-MB")
+	b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "jobs/s")
 }
 
-// BenchmarkStreamShardedPhilly is the CI-scale sharded pipeline benchmark
-// (~150k jobs end to end per iteration).
-func BenchmarkStreamShardedPhilly(b *testing.B) {
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			streamShardedPipeline(b, 30, shards)
-		})
-	}
-}
-
-// BenchmarkStreamSharded10M generates and schedules ~10 million jobs per
-// iteration through the sharded streaming path; select it explicitly
-// (scripts/bench.sh BenchmarkStreamSharded10M 1) rather than in the smoke
-// pattern. BENCH_pr9.json records shards=1 vs shards=4.
-func BenchmarkStreamSharded10M(b *testing.B) {
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			streamShardedPipeline(b, 2000, shards)
-		})
-	}
-}
+// BenchmarkStreamPipelinePhilly is the CI-scale pipeline benchmark on the
+// 14-VC Philly generator (~150k jobs end to end per iteration).
+func BenchmarkStreamPipelinePhilly(b *testing.B) { streamPipeline(b, synth.Philly(30)) }
 
 // --- Verification benchmarks: the differential-testing substrate
 // (internal/check) has to stay fast enough to run in every test cycle.

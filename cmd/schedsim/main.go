@@ -52,7 +52,6 @@ type runConfig struct {
 
 	stream  bool   // windowed out-of-core replay (O(active jobs) memory)
 	rowsOut string // per-job result rows as JSONL (streaming mode)
-	shards  int    // partition-sharded parallel execution (single runs)
 
 	faults       string  // fault-scenario spec (fault.ParseSpec format)
 	faultSeed    uint64  // overrides the spec's seed when nonzero
@@ -87,7 +86,6 @@ func main() {
 	flag.BoolVar(&cfg.degraded, "degraded", false, "run the degraded-capacity sweep (wait/bsld/util vs outage fraction per policy)")
 	flag.BoolVar(&cfg.stream, "stream", false, "replay the trace out-of-core: jobs flow through a sliding window, memory stays O(active jobs), results are identical")
 	flag.StringVar(&cfg.rowsOut, "rows-out", "", "with -stream, write per-job result rows as JSONL to this file as they retire")
-	flag.IntVar(&cfg.shards, "shards", 0, "split the run by partition across up to N parallel shards with a deterministic stitch (results identical to -shards 1; configurations with cross-partition coupling fall back, see -metrics-out)")
 	flag.StringVar(&cfg.faults, "faults", "", "fault-injection scenario, e.g. 'mtbf=172800,mttr=7200,frac=0.25,recovery=requeue,retry=2' or 'down=0:3600:7200:512' (off = none)")
 	flag.Uint64Var(&cfg.faultSeed, "fault-seed", 0, "seed for fault draws (0 = use the -faults spec's seed)")
 	flag.IntVar(&cfg.retryCap, "retry-cap", -1, "max requeues per interrupted job (-1 = use the -faults spec's cap)")
@@ -155,9 +153,6 @@ func run(cfg runConfig) error {
 	}
 	if cfg.rowsOut != "" && !cfg.stream {
 		return fmt.Errorf("-rows-out only applies to -stream runs (materialized runs keep the jobs; use -o)")
-	}
-	if cfg.shards > 1 && (cfg.compare || cfg.matrix || cfg.sweep || cfg.estimates || cfg.learned || cfg.degraded) {
-		return fmt.Errorf("-shards applies to single runs; the batch modes already fan out across runs (cap them with -parallel)")
 	}
 	if cfg.stream {
 		return runStream(ctx, cfg, fcfg)
@@ -243,7 +238,7 @@ func run(cfg runConfig) error {
 	if err != nil {
 		return err
 	}
-	opt := sim.Options{Policy: pol, Backfill: bf, RelaxFactor: cfg.relax, Faults: fcfg, Shards: cfg.shards}
+	opt := sim.Options{Policy: pol, Backfill: bf, RelaxFactor: cfg.relax, Faults: fcfg}
 	if cfg.bench > 0 {
 		// Benchmark repeats run bare: no observers, so the timing reflects
 		// the hot path the user is diagnosing.
@@ -324,13 +319,6 @@ func run(cfg runConfig) error {
 	fmt.Printf("  backfilled jobs %d\n", res.Backfilled)
 	fmt.Printf("  max queue       %d\n", res.MaxQueueLen)
 	fmt.Printf("  makespan        %.0f s\n", res.Makespan)
-	if cfg.shards > 1 {
-		if met.ShardFallbackReason != "" {
-			fmt.Printf("  shards          1 (fallback: %s)\n", met.ShardFallbackReason)
-		} else {
-			fmt.Printf("  shards          %d\n", met.Shards)
-		}
-	}
 	if fcfg.Enabled() {
 		fmt.Printf("  interrupted     %d attempts (%d requeues, %d jobs lost)\n",
 			res.Interrupted, res.Requeued, res.FaultFailed)
@@ -368,7 +356,7 @@ func runStream(ctx context.Context, cfg runConfig, fcfg *fault.Config) error {
 	if err != nil {
 		return err
 	}
-	opt := sim.Options{Policy: pol, Backfill: bf, RelaxFactor: cfg.relax, Shards: cfg.shards}
+	opt := sim.Options{Policy: pol, Backfill: bf, RelaxFactor: cfg.relax}
 
 	var src trace.Stream
 	if cfg.input != "" {
@@ -466,13 +454,6 @@ func runStream(ctx context.Context, cfg runConfig, fcfg *fault.Config) error {
 	fmt.Printf("  makespan        %.0f s\n", res.Makespan)
 	w := waits.Summary()
 	fmt.Printf("  wait sketch     p50 %.1f  p90 %.1f  p99 %.1f  max %.1f s\n", w.P50, w.P90, w.P99, w.Max)
-	if cfg.shards > 1 {
-		if met.ShardFallbackReason != "" {
-			fmt.Printf("  shards          1 (fallback: %s)\n", met.ShardFallbackReason)
-		} else {
-			fmt.Printf("  shards          %d\n", met.Shards)
-		}
-	}
 	if rows != nil {
 		fmt.Printf("wrote %d job rows to %s\n", rows.Rows(), cfg.rowsOut)
 	}

@@ -63,7 +63,9 @@ func decodeFuzzInput(data []byte) (*trace.Trace, sim.Options) {
 
 // FuzzSimulator decodes arbitrary bytes into a workload + configuration and
 // runs the full differential gate: the optimized simulator must match the
-// O(n²) oracle exactly and pass the schedule auditor, whatever the input.
+// O(n²) oracle exactly and pass the schedule auditor, and (for fault-free
+// configurations, the only ones streaming accepts) the streaming simulator
+// must reproduce the materialized run float for float, whatever the input.
 func FuzzSimulator(f *testing.F) {
 	// Seeds covering each backfill kind, a partitioned system, zero-runtime
 	// jobs, and walltime kills.
@@ -79,6 +81,11 @@ func FuzzSimulator(f *testing.F) {
 		}
 		if err := Verify(tr, opt); err != nil {
 			t.Fatalf("%s + %s on %d jobs: %v", opt.Policy, opt.Backfill, tr.Len(), err)
+		}
+		if !opt.Faults.Enabled() {
+			if err := VerifyStream(tr, opt); err != nil {
+				t.Fatalf("stream %s + %s on %d jobs: %v", opt.Policy, opt.Backfill, tr.Len(), err)
+			}
 		}
 	})
 }

@@ -9,19 +9,30 @@ import (
 	"crosssched/internal/trace"
 )
 
+// verifyVCWide is VerifyVC stretched over seven partitions (112 cores), so
+// the differential sweep also covers a many-partition trace whose
+// partitions each see sparse traffic and schedule out of step.
+func verifyVCWide(days float64) *synth.Profile {
+	p := synth.VerifyVC(days)
+	p.Sys.Name = "VerifyVCWide"
+	p.Sys.TotalCores = 112
+	p.Sys.VirtualClusters = 7
+	return p
+}
+
 // TestStreamDifferentialSweep: the windowed streaming simulator must be
 // float-for-float identical to the materialized one — per-row waits and
 // promises, every aggregate, the queue timeline, and the decision-event
 // stream — for every policy x backfill combination on each verification
-// workload. Streaming traces can be longer than oracle traces (the
-// comparison is O(n log n), not O(n²)), so the window slides through
-// multiple compactions here.
+// workload plus the seven-partition VerifyVCWide. Streaming traces can be
+// longer than oracle traces (the comparison is O(n log n), not O(n²)), so
+// the window slides through multiple compactions here.
 func TestStreamDifferentialSweep(t *testing.T) {
 	days := 1.0
 	if testing.Short() {
 		days = 0.25
 	}
-	for _, p := range synth.VerifyProfiles(days) {
+	for _, p := range append(synth.VerifyProfiles(days), verifyVCWide(days)) {
 		p := p
 		t.Run(p.Sys.Name, func(t *testing.T) {
 			t.Parallel()

@@ -52,14 +52,6 @@ type Metrics struct {
 	// rows flushed to the sink.
 	MaxWindowJobs int64 `json:"max_window_jobs,omitempty"`
 	JobsRetired   int64 `json:"jobs_retired,omitempty"`
-	// Shards is the number of parallel shards the run actually executed on
-	// (1 for ordinary single-shard runs). ShardFallbackReason is non-empty
-	// when sim.Options.Shards asked for a sharded run but the run degraded
-	// to the single-shard path, naming the partition coupling (fair-share
-	// accounts, fault injection, globally-normalized adaptive backfill,
-	// caller callbacks) or trace shape that forced the fallback.
-	Shards              int64  `json:"shards,omitempty"`
-	ShardFallbackReason string `json:"shard_fallback_reason,omitempty"`
 	// Twin-service durability counters (zero — and omitted — outside the
 	// twin service, which maintains one Metrics per manager): sessions
 	// rebuilt from their write-ahead journal (at startup or on parked-

@@ -51,13 +51,12 @@ type Checkpoint struct {
 // attempt), so a fork carries the per-job attempt state and shares the
 // schedule. opt.Observer becomes the checkpoint's event tap (it is called
 // with the checkpoint's lock held, so it must not call back into the
-// checkpoint); Metrics and Shards are ignored. The trace and opt.Faults
-// are copied; the caller's values are not retained.
+// checkpoint); Metrics is ignored. The trace and opt.Faults are copied;
+// the caller's values are not retained.
 func RunToCheckpoint(tr *trace.Trace, opt Options, pauseAt float64) (*Checkpoint, error) {
 	tap := opt.Observer
 	opt.Observer = nil // forks inherit opt; only the checkpoint's own run is tapped
 	opt.Metrics = nil
-	opt.Shards = 0
 	opt.Faults = opt.Faults.Clone()
 	if opt.BsldTau <= 0 {
 		opt.BsldTau = 10

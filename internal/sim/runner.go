@@ -81,12 +81,6 @@ func (r *Runner) RunContext(ctx context.Context, tr *trace.Trace, opt Options) (
 	if nParts < 1 {
 		nParts = 1
 	}
-	var fallback string
-	if opt.Shards > 1 {
-		if fallback = shardFallback(&opt, nParts); fallback == "" {
-			return runShardedTrace(ctx, tr, opt, nParts)
-		}
-	}
 	cl, err := r.cluster(tr.System.TotalCores, nParts)
 	if err != nil {
 		return nil, err
@@ -132,8 +126,6 @@ func (r *Runner) RunContext(ctx context.Context, tr *trace.Trace, opt Options) (
 		s.met.Violations = int64(s.violations)
 		s.met.WallSeconds = time.Since(began).Seconds()
 		s.met.Canceled = runErr != nil && ctx.Err() != nil
-		s.met.Shards = 1
-		s.met.ShardFallbackReason = fallback
 		*opt.Metrics = s.met
 	}
 	if runErr != nil {
@@ -247,7 +239,6 @@ func (s *simulator) resetCore(ctx context.Context, opt Options, cl *cluster.Clus
 	s.next = 0
 	s.flt = nil // armed separately (setupFaults) only for enabled configs
 	s.in = nil  // armed separately (resetStream) only for streaming runs
-	s.tap = nil // armed separately (runStream) only for sharded sub-runs
 	s.idxBase = 0
 	s.ctx = ctx
 	s.done = ctx.Done()

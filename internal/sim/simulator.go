@@ -59,17 +59,11 @@ type Options struct {
 	// when the run finishes — including a canceled run, so partial
 	// progress stays visible.
 	Metrics *obs.Metrics
-	// Shards asks Run/RunStream to split the trace by partition and
-	// simulate up to Shards shards in parallel (each on its own pooled
-	// Runner), deterministically stitching the results back together so
-	// every output — per-job rows, aggregates folded in result()'s float
-	// order, the queue timeline, and the decision-event stream — is
-	// float-for-float identical to the single-shard run. Values <= 1 mean
-	// single-shard. Configurations that couple partitions (the Fair
-	// policy's shared usage accounts, fault injection, an adaptive
-	// backfill normalized by the observed global queue length, or caller
-	// callbacks whose purity cannot be assumed) automatically fall back
-	// to the single-shard path; Metrics.ShardFallbackReason reports why.
+	// Shards is ignored: every run executes on one simulator, and no code
+	// reads the field.
+	//
+	// Deprecated: kept only so callers that still assign it compile; it
+	// will be removed.
 	Shards int
 	// Faults, when non-nil and enabled, injects capacity and job faults
 	// into the run (see internal/fault): partitions lose cores over
@@ -180,10 +174,9 @@ type running struct {
 //
 // The arrival-index tiebreak makes the pop order of simultaneous
 // completions canonical (ascending job index) instead of an artifact of
-// heap arrangement. That canonical order is what lets the sharded engine
-// merge per-shard completion streams back into the exact single-shard
-// order: within one event time every shard's completions pop in ascending
-// index, so a k-way index merge reproduces the global sequence.
+// heap arrangement, so the release order and the completion events of
+// simultaneous completions depend only on the schedule, never on how the
+// heap happens to be laid out.
 type completionHeap struct {
 	items []running
 }
@@ -447,12 +440,6 @@ type simulator struct {
 	flt      *simFault
 	fltState simFault
 
-	// tap is non-nil only when this simulator runs as one shard of a
-	// sharded run (see shard.go): it records the per-iteration facts the
-	// stitcher needs to reconstruct the global run exactly. The nil checks
-	// at its call sites cost one compare each on ordinary runs.
-	tap *shardTap
-
 	next           int // next arrival index (a field so checkpoints can pause/resume)
 	queued         int // total jobs waiting across partitions
 	touched        []bool
@@ -506,7 +493,8 @@ func (s *simulator) partition(j *trace.Job) int {
 }
 
 // partitionOf is the partition mapping shared by the simulator and the
-// sharded trace splitter (shard.go), which must agree exactly.
+// checkpoint's up-front job checks (checkpoint.go), which must agree
+// exactly: a job is size-checked against the partition it will queue on.
 func partitionOf(j *trace.Job, nParts int) int {
 	if nParts == 1 {
 		return 0
@@ -592,9 +580,6 @@ func (s *simulator) runUntil(pause float64) error {
 		}
 		s.met.Events++
 		s.now = t
-		if s.tap != nil {
-			s.tap.beginIter(t)
-		}
 
 		touched := s.touched
 		for i := range touched {
@@ -636,9 +621,6 @@ func (s *simulator) runUntil(pause float64) error {
 				s.flt.goodput += (r.real - s.flt.lastStart[r.idx]) * float64(procs)
 			}
 			s.met.Completions++
-			if s.tap != nil {
-				s.tap.completion(int(r.idx))
-			}
 			if s.in != nil {
 				// Mark for prefix retirement (faults are rejected on the
 				// streaming path, so every heap pop lands here).
@@ -700,9 +682,6 @@ func (s *simulator) runUntil(pause float64) error {
 			s.queued++
 			touched[p] = true
 			s.met.Arrivals++
-			if s.tap != nil {
-				s.tap.arrived(s.next)
-			}
 			if s.obsv != nil {
 				s.obsv.Observe(obs.Event{
 					Kind: obs.JobSubmit, Time: j.Submit, Job: j.ID,
@@ -713,9 +692,6 @@ func (s *simulator) runUntil(pause float64) error {
 		}
 		if s.queued > s.maxQueueSeen {
 			s.maxQueueSeen = s.queued
-		}
-		if s.tap != nil {
-			s.tap.afterArrivals(s.queued)
 		}
 		// Partitions are scheduled in index order: the Fair policy's usage
 		// accounts are shared across partitions, so iteration order is
@@ -733,11 +709,6 @@ func (s *simulator) runUntil(pause float64) error {
 		// arrival order, keeping the working set O(active + lookahead).
 		if s.in != nil {
 			if err := s.retireStream(); err != nil {
-				return err
-			}
-		}
-		if s.tap != nil {
-			if err := s.tap.endIter(s.queued, s.cl.Busy()); err != nil {
 				return err
 			}
 		}
@@ -912,15 +883,9 @@ func (s *simulator) start(p, pos int) {
 	if first && j.promised >= 0 && s.now > j.promised+1e-9 {
 		s.violations++
 		s.violationDelay += s.now - j.promised
-		if s.tap != nil {
-			s.tap.violation(int32(p), s.now-j.promised)
-		}
 	}
 	if pos > 0 {
 		s.backfilled++
-	}
-	if s.tap != nil {
-		s.tap.dispatched()
 	}
 	if s.fair != nil {
 		s.fair.Charge(j.user, s.now, float64(j.procs)*j.run)

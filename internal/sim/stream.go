@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"crosssched/internal/cluster"
@@ -76,25 +75,6 @@ func (r *Runner) RunStreamContext(ctx context.Context, src trace.Stream, opt Opt
 	if sys.TotalCores <= 0 {
 		return nil, fmt.Errorf("trace: system %q has non-positive capacity", sys.Name)
 	}
-	var fallback string
-	if opt.Shards > 1 {
-		nParts := sys.VirtualClusters
-		if nParts < 1 {
-			nParts = 1
-		}
-		if fallback = shardFallback(&opt, nParts); fallback == "" {
-			return runShardedStream(ctx, src, opt, sink)
-		}
-	}
-	return r.runStream(ctx, src, opt, sink, nil, fallback)
-}
-
-// runStream is the single-shard streaming engine behind RunStreamContext.
-// The options are already defaulted. tap, when non-nil, makes this run one
-// shard of a sharded run (shard.go); fallback is recorded in Metrics as the
-// reason a requested sharded run degraded to this path.
-func (r *Runner) runStream(ctx context.Context, src trace.Stream, opt Options, sink StreamSink, tap *shardTap, fallback string) (*Result, error) {
-	sys := src.System()
 	nParts := sys.VirtualClusters
 	if nParts < 1 {
 		nParts = 1
@@ -106,10 +86,6 @@ func (r *Runner) runStream(ctx context.Context, src trace.Stream, opt Options, s
 
 	s := &r.s
 	s.resetStream(ctx, opt, cl, nParts, src, sink)
-	s.tap = tap
-	if tap != nil && tap.evOn {
-		s.obsv = tap
-	}
 	// Window buffers stay on the simulator for reuse, but the stream, sink,
 	// context, and callbacks must not outlive the run.
 	defer func() {
@@ -121,11 +97,9 @@ func (r *Runner) runStream(ctx context.Context, src trace.Stream, opt Options, s
 		s.waits = s.waits[:0]
 		s.idxBase = 0
 		s.inState.src = nil
-		s.inState.hz = nil
 		s.inState.sink = nil
 		s.inState.look = trace.Job{}
 		s.in = nil
-		s.tap = nil
 		s.ctx = nil
 		s.done = nil
 		s.obsv = nil
@@ -145,8 +119,6 @@ func (r *Runner) runStream(ctx context.Context, src trace.Stream, opt Options, s
 		s.met.JobsRetired = int64(s.inState.retired)
 		s.met.WallSeconds = time.Since(began).Seconds()
 		s.met.Canceled = runErr != nil && ctx.Err() != nil
-		s.met.Shards = 1
-		s.met.ShardFallbackReason = fallback
 		*opt.Metrics = s.met
 	}
 	if runErr != nil {
@@ -164,11 +136,6 @@ func (r *Runner) runStream(ctx context.Context, src trace.Stream, opt Options, s
 type streamIntake struct {
 	src  trace.Stream
 	sink StreamSink
-	// hz is non-nil when src can bound its future: a sharded sub-stream
-	// (shard.go) whose NextBefore lets the event loop process completions
-	// below the bound without blocking for a lookahead job that may be far
-	// in the future (or held up behind other shards).
-	hz horizonStream
 
 	// One job of lookahead: the next arrival pulled from the stream but not
 	// yet admitted. eof marks the stream drained.
@@ -193,26 +160,7 @@ type streamIntake struct {
 	sumBsld   float64
 }
 
-// horizonStream is a trace.Stream that can bound its future arrivals.
-// NextBefore returns the next job when one is available (whatever its
-// submit time). Returning ok == false without error is a guarantee that no
-// future job of the stream has Submit <= need, letting the caller proceed
-// without a lookahead job; the stream may block internally until it can
-// either produce a job or make that guarantee. The end of the stream is
-// io.EOF, the strongest horizon. Implemented by the sharded sub-streams in
-// shard.go, whose next job may be held up arbitrarily long behind jobs
-// destined for other shards.
-type horizonStream interface {
-	trace.Stream
-	NextBefore(need float64) (trace.Job, bool, error)
-}
-
-// fill pulls the next arrival into the lookahead slot if it is empty. On a
-// horizon-capable stream it may instead return with the slot still empty
-// once the stream guarantees no arrival at or before the simulator's next
-// internal event (the earliest pending completion), so shards are never
-// deadlocked waiting for arrivals that sit behind other shards' traffic.
-//
+// fill pulls the next arrival into the lookahead slot if it is empty.
 // The job is validated here, mirroring what Trace.Validate checks up front
 // on the materialized path: the lookahead's submit competes for the next
 // event time, and an infinite one would end the run with the job silently
@@ -221,27 +169,13 @@ func (in *streamIntake) fill(s *simulator) error {
 	if in.lookOK || in.eof {
 		return nil
 	}
-	var j trace.Job
-	ok := true
-	var err error
-	if in.hz != nil {
-		need := math.Inf(1)
-		if s.compl.len() > 0 {
-			need = s.compl.min().real
-		}
-		j, ok, err = in.hz.NextBefore(need)
-	} else {
-		j, err = in.src.Next()
-	}
+	j, err := in.src.Next()
 	if err == io.EOF {
 		in.eof = true
 		return nil
 	}
 	if err != nil {
 		return s.streamReadError(err)
-	}
-	if !ok {
-		return nil
 	}
 	if err := j.Validate(); err != nil {
 		return fmt.Errorf("sim: stream: %w", err)
@@ -270,7 +204,6 @@ func (s *simulator) resetStream(ctx context.Context, opt Options, cl *cluster.Cl
 	s.waits = s.waits[:0]
 	in := &s.inState
 	in.src = src
-	in.hz, _ = src.(horizonStream)
 	in.sink = sink
 	in.look = trace.Job{}
 	in.lookOK = false
