@@ -213,8 +213,8 @@ func BenchmarkSimulatorEASY(b *testing.B) {
 
 // BenchmarkSimulatorConservative measures the heavier conservative
 // backfilling planner. This is the benchmark the incremental reservation
-// plan's >= 4x acceptance bar is measured on (BENCH_pr6.json vs the
-// from-scratch BENCH_pr4.json).
+// plan's >= 4x acceptance bar was measured on (DESIGN.md, Performance;
+// the benchmark snapshots behind it are in git history).
 func BenchmarkSimulatorConservative(b *testing.B) {
 	tr := benchTrace(b, "Theta", 8)
 	b.ResetTimer()
@@ -327,8 +327,8 @@ func BenchmarkHybridSweep(b *testing.B) {
 
 // --- Batch-execution benchmarks: the many-run sweep workloads whose
 // throughput the pooled sim.Runner and the internal/par worker pool exist
-// for. These are the headline numbers for batch throughput; BENCH_pr4.json
-// records them against the reallocating BENCH_baseline.json.
+// for. These are the headline numbers for batch throughput; DESIGN.md's
+// "Batch execution" records them against a reallocating simulator.
 
 // BenchmarkRelaxFactorSweep measures the relaxation-factor sweep at the
 // paper's six-point grid: 12 full simulations per iteration (relaxed +
@@ -443,7 +443,7 @@ func BenchmarkStreamPipelineHelios(b *testing.B) { streamPipeline(b, synth.Helio
 // iteration (~60s); select it explicitly (scripts/bench.sh
 // BenchmarkStreamSimulator10M 1) rather than in the smoke pattern. The
 // peak-heap-MB metric demonstrating the O(window) bound is recorded in
-// BENCH_pr7.json.
+// EXPERIMENTS.md.
 func BenchmarkStreamSimulator10M(b *testing.B) { streamPipeline(b, synth.Helios(1465)) }
 
 // BenchmarkSimulatorPhilly measures the materialized simulator on a
@@ -494,14 +494,15 @@ func BenchmarkOracleSimulator(b *testing.B) {
 // run (the cost of `schedsim -audit` beyond the simulation itself).
 func BenchmarkScheduleAuditor(b *testing.B) {
 	tr := verifyBenchTrace(b)
-	opt := sim.Options{Policy: sim.FCFS, Backfill: sim.Relaxed, RelaxFactor: 0.1}
+	rec := &obs.Recorder{}
+	opt := sim.Options{Policy: sim.FCFS, Backfill: sim.Relaxed, RelaxFactor: 0.1, Observer: rec}
 	res, err := sim.Run(tr, opt)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if rep := check.Audit(tr, opt, res); !rep.OK() {
+		if rep := check.Audit(tr, opt, rec.Events, res); !rep.OK() {
 			b.Fatal(rep.Err())
 		}
 	}

@@ -130,9 +130,6 @@ type createRequest struct {
 	Relax      float64 `json:"relax,omitempty"`
 	Seed       uint64  `json:"seed,omitempty"`
 	TickRate   float64 `json:"tick_rate,omitempty"`
-	// ColdWhatIf disables warm-started what-if forks (full replays
-	// instead); reports are identical either way, only latency differs.
-	ColdWhatIf bool `json:"cold_whatif,omitempty"`
 }
 
 func (a *twinAPI) create(w http.ResponseWriter, r *http.Request) {
@@ -147,7 +144,6 @@ func (a *twinAPI) create(w http.ResponseWriter, r *http.Request) {
 		RelaxFactor: req.Relax,
 		Seed:        req.Seed,
 		TickRate:    req.TickRate,
-		ColdWhatIf:  req.ColdWhatIf,
 	}
 	var err error
 	if req.Policy != "" {

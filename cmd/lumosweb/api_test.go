@@ -142,6 +142,10 @@ func TestTwinErrorCodes(t *testing.T) {
 	if code := post(t, srv.URL+"/session", `{}`, nil); code != http.StatusBadRequest {
 		t.Fatalf("clusterless session: %d, want 400", code)
 	}
+	// Every what-if forks a checkpoint; the old opt-out is an unknown field.
+	if code := post(t, srv.URL+"/session", `{"cores": 8, "cold_whatif": true}`, nil); code != http.StatusBadRequest {
+		t.Fatalf("removed cold_whatif field: %d, want 400", code)
+	}
 
 	var snap twin.Snapshot
 	post(t, srv.URL+"/session", `{"cores": 8}`, &snap)

@@ -525,7 +525,7 @@ func runAudit(tr *trace.Trace, opt sim.Options, res *sim.Result, events []obs.Ev
 		// the conservation invariants instead (see check.Audit's doc).
 		fmt.Println("audit: fault injection active; skipping the fault-free schedule auditor")
 	} else {
-		rep := check.Audit(tr, opt, res)
+		rep := check.Audit(tr, opt, events, res)
 		if err := rep.Err(); err != nil {
 			return fmt.Errorf("audit: %w", err)
 		}

@@ -88,7 +88,6 @@ func main() {
 		workers   = flag.Int("workers", 64, "concurrent client workers")
 		timeout   = flag.Duration("timeout", 30*time.Second, "per-request timeout")
 		keep      = flag.Bool("keep", true, "leave sessions live (server holds all K at once; exercises shutdown teardown)")
-		cold      = flag.Bool("cold-whatif", false, "create sessions with cold_whatif: every what-if replays from t=0 instead of forking warm checkpoints (A/B the warm-start latency win)")
 		advance   = flag.Float64("advance", 300, "simulated seconds the clock advances per batch; large values age the log so what-ifs query a deep history, the warm-start regime")
 		resume    = flag.Bool("resume", false, "drive existing sessions s000001..s<K> (recovered server state) instead of creating new ones")
 		killPID   = flag.Int("kill-pid", 0, "SIGKILL this process kill-after into the load (crash testing; 0 = off)")
@@ -150,7 +149,7 @@ func main() {
 	ctx := par.WithLimit(context.Background(), *workers)
 	start := time.Now()
 	_ = par.ForEach(ctx, *sessions, func(ctx context.Context, i int) error {
-		if err := d.driveSession(i, *submits, *jobs, *keep, *cold, *resume, *advance, func(lat time.Duration) {
+		if err := d.driveSession(i, *submits, *jobs, *keep, *resume, *advance, func(lat time.Duration) {
 			mu.Lock()
 			whatIfLat = append(whatIfLat, lat)
 			mu.Unlock()
@@ -208,7 +207,7 @@ type driver struct {
 // resume it picks up the manager's deterministic ID for the i-th session
 // of a previous run and keeps driving it — the clock moves with relative
 // advances, so it composes with whatever the journal recovered.
-func (d *driver) driveSession(i, submits, jobs int, keep, cold, resume bool, advance float64, observe func(time.Duration)) error {
+func (d *driver) driveSession(i, submits, jobs int, keep, resume bool, advance float64, observe func(time.Duration)) error {
 	var sess string
 	if resume {
 		sess = fmt.Sprintf("%s/session/s%06d", d.base, i+1)
@@ -220,8 +219,8 @@ func (d *driver) driveSession(i, submits, jobs int, keep, cold, resume bool, adv
 			ID string `json:"id"`
 		}
 		// Vary the cluster shape a little so sessions are not identical.
-		body := fmt.Sprintf(`{"cores": %d, "partitions": %d, "policy": "fcfs", "backfill": "easy", "seed": %d, "cold_whatif": %t}`,
-			32+(i%4)*32, 1+i%4, i+1, cold)
+		body := fmt.Sprintf(`{"cores": %d, "partitions": %d, "policy": "fcfs", "backfill": "easy", "seed": %d}`,
+			32+(i%4)*32, 1+i%4, i+1)
 		if err := d.call("POST", d.base+"/session", body, &snap); err != nil {
 			return fmt.Errorf("create: %w", err)
 		}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"crosssched/internal/obs"
 	"crosssched/internal/sim"
 	"crosssched/internal/trace"
 )
@@ -71,7 +72,9 @@ func floatEq(a, b float64) bool {
 //     from PromisedStart, and under FCFS with trustworthy estimates no job
 //     slips past its promise by more than the backfill kind's allowance;
 //   - metrics: AvgWait, AvgBsld, Utilization, Makespan, and MaxQueueLen are
-//     recomputable from the output schedule to within float tolerance.
+//     recomputable from the output schedule to within float tolerance;
+//     MaxQueueLen exactly, with start instants taken from the run's
+//     recorded decision stream (events).
 //
 // opt must be the Options the result was produced with (the promise
 // allowance and bsld threshold depend on them).
@@ -80,7 +83,7 @@ func floatEq(a, b float64) bool {
 // occupancy Run — which is only true on fault-free runs. For runs with
 // opt.Faults enabled (interrupts, requeues, drained capacity), audit the
 // recorded decision stream with AuditStream instead, as Verify does.
-func Audit(tr *trace.Trace, opt sim.Options, res *sim.Result) *AuditReport {
+func Audit(tr *trace.Trace, opt sim.Options, events []obs.Event, res *sim.Result) *AuditReport {
 	r := &AuditReport{}
 	if len(res.Jobs) != len(tr.Jobs) {
 		r.addf("shape", "result has %d jobs, trace has %d", len(res.Jobs), len(tr.Jobs))
@@ -146,6 +149,9 @@ func Audit(tr *trace.Trace, opt sim.Options, res *sim.Result) *AuditReport {
 	r.EventsChecked = auditConservation(r, tr, caps, starts, effRuns)
 	auditPromises(r, tr, opt, res, starts, estimatesSound)
 	auditMetrics(r, tr, opt, res, starts, effRuns)
+	if maxQ := recomputeMaxQueue(tr, eventStarts(tr, events, starts)); maxQ != res.MaxQueueLen {
+		r.addf("metrics", "reported max queue %d, recomputed %d", res.MaxQueueLen, maxQ)
+	}
 	return r
 }
 
@@ -292,35 +298,46 @@ func auditMetrics(r *AuditReport, tr *trace.Trace, opt sim.Options, res *sim.Res
 			r.addf("metrics", "reported utilization %v, recomputed %v", res.Utilization, util)
 		}
 	}
-	if maxQ := recomputeMaxQueue(tr, starts, effRuns); maxQ != res.MaxQueueLen {
-		r.addf("metrics", "reported max queue %d, recomputed %d", res.MaxQueueLen, maxQ)
-	}
 	if res.Backfilled < 0 || res.Backfilled > n {
 		r.addf("metrics", "backfilled count %d outside [0, %d]", res.Backfilled, n)
 	}
 }
 
-// recomputeMaxQueue reproduces the simulator's max-queue sample: at every
-// event time t (a submission or a completion), the queue holds the jobs
-// with submit <= t that had not started strictly before t. "Strictly
-// before" allows timeEps of slack because completion times are
-// reconstructed from Submit+Wait+Run and can sit a few ulps off the
-// simulator's event clock.
-func recomputeMaxQueue(tr *trace.Trace, starts, effRuns []float64) int {
-	points := make([]float64, 0, 2*len(tr.Jobs))
-	submits := make([]float64, 0, len(tr.Jobs))
+// eventStarts returns each job's start instant from the decision stream,
+// exact where Submit+Wait can sit an ulp off it — which decides whether an
+// arrival an ulp later finds the job still queued. A job whose stream start
+// is missing or further than timeEps from the result's keeps the latter.
+func eventStarts(tr *trace.Trace, events []obs.Event, starts []float64) []float64 {
+	byID := make(map[int]int, len(tr.Jobs))
 	for i := range tr.Jobs {
-		points = append(points, tr.Jobs[i].Submit, starts[i]+effRuns[i])
-		submits = append(submits, tr.Jobs[i].Submit)
+		byID[tr.Jobs[i].ID] = i
 	}
-	sort.Float64s(points)
+	exact := append([]float64(nil), starts...)
+	for _, e := range events {
+		if i, ok := byID[e.Job]; ok && e.Kind == obs.JobStart && math.Abs(e.Time-starts[i]) <= timeEps {
+			exact[i] = e.Time
+		}
+	}
+	return exact
+}
+
+// recomputeMaxQueue reproduces the simulator's max-queue sample: at every
+// event time t, after that instant's arrivals and before its starts, the
+// queue holds the jobs with submit <= t that had not started strictly
+// before t. Starts only shrink the queue, so the maximum falls on an
+// arrival instant, and only those need sampling.
+func recomputeMaxQueue(tr *trace.Trace, starts []float64) int {
+	submits := make([]float64, len(tr.Jobs))
+	for i := range tr.Jobs {
+		submits[i] = tr.Jobs[i].Submit
+	}
 	sort.Float64s(submits)
 	sorted := append([]float64(nil), starts...)
 	sort.Float64s(sorted)
 	maxQ := 0
-	for _, t := range points {
+	for _, t := range submits {
 		arrived := sort.Search(len(submits), func(i int) bool { return submits[i] > t })
-		begun := sort.SearchFloat64s(sorted, t-timeEps)
+		begun := sort.SearchFloat64s(sorted, t)
 		if q := arrived - begun; q > maxQ {
 			maxQ = q
 		}

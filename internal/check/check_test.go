@@ -3,6 +3,7 @@ package check
 import (
 	"testing"
 
+	"crosssched/internal/obs"
 	"crosssched/internal/sim"
 	"crosssched/internal/synth"
 	"crosssched/internal/trace"
@@ -120,12 +121,13 @@ func TestOracleMatchesOnHandBuiltTrace(t *testing.T) {
 // report carries evidence counts.
 func TestAuditCleanRun(t *testing.T) {
 	tr := verifyTrace(t, synth.VerifyVC(0.2), 3)
-	opt := sim.Options{Policy: sim.FCFS, Backfill: sim.EASY}
+	rec := &obs.Recorder{}
+	opt := sim.Options{Policy: sim.FCFS, Backfill: sim.EASY, Observer: rec}
 	res, err := sim.Run(tr, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := Audit(tr, opt, res)
+	rep := Audit(tr, opt, rec.Events, res)
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -138,12 +140,13 @@ func TestAuditCleanRun(t *testing.T) {
 // clean result in characteristic ways must produce the matching finding.
 func TestAuditDetectsCorruption(t *testing.T) {
 	tr := verifyTrace(t, synth.VerifyHPC(0.2), 5)
-	opt := sim.Options{Policy: sim.FCFS, Backfill: sim.EASY}
+	rec := &obs.Recorder{}
+	opt := sim.Options{Policy: sim.FCFS, Backfill: sim.EASY, Observer: rec}
 	clean, err := sim.Run(tr, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Audit(tr, opt, clean).Err(); err != nil {
+	if err := Audit(tr, opt, rec.Events, clean).Err(); err != nil {
 		t.Fatalf("clean run must audit clean: %v", err)
 	}
 
@@ -165,7 +168,7 @@ func TestAuditDetectsCorruption(t *testing.T) {
 		c.Jobs = append([]trace.Job(nil), clean.Jobs...)
 		c.PromisedStart = append([]float64(nil), clean.PromisedStart...)
 		mutate(&c)
-		return Audit(tr, opt, &c)
+		return Audit(tr, opt, rec.Events, &c)
 	}
 
 	cases := []struct {
@@ -204,7 +207,8 @@ func TestAuditDetectsCorruption(t *testing.T) {
 // pushed far past promise + allowance must raise the allowance invariant.
 func TestAuditCatchesAllowanceAbuse(t *testing.T) {
 	tr := verifyTrace(t, synth.VerifyHPC(0.2), 5)
-	opt := sim.Options{Policy: sim.FCFS, Backfill: sim.Relaxed, RelaxFactor: 0.1}
+	rec := &obs.Recorder{}
+	opt := sim.Options{Policy: sim.FCFS, Backfill: sim.Relaxed, RelaxFactor: 0.1, Observer: rec}
 	res, err := sim.Run(tr, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +224,7 @@ func TestAuditCatchesAllowanceAbuse(t *testing.T) {
 		t.Skip("no promised job in workload")
 	}
 	res.Jobs[victim].Wait += 10 * (res.PromisedStart[victim] - tr.Jobs[victim].Submit + 3600)
-	rep := Audit(tr, opt, res)
+	rep := Audit(tr, opt, rec.Events, res)
 	found := false
 	for _, f := range rep.Findings {
 		if f.Invariant == "allowance" {

@@ -133,44 +133,31 @@ func compare(fast, ref *sim.Result) *DiffReport {
 // pass an auditor with zero findings. Used by the differential tests, the
 // fuzz targets, and schedsim -audit's self-check mode.
 //
-// On fault-free runs the schedule auditor (Audit) checks the result alone.
-// Under fault injection, Audit's reconstruction (one start per job at
-// Submit+Wait, occupancy Run) no longer describes the schedule, so Verify
-// records the decision stream and runs the stream auditor instead, which
-// understands interrupts, requeues, and drained capacity.
+// Verify records the run's decision stream. On fault-free runs the schedule
+// auditor (Audit) checks the result against it. Under fault injection,
+// Audit's reconstruction (one start per job at Submit+Wait, occupancy Run)
+// no longer describes the schedule, so the stream auditor runs instead,
+// which understands interrupts, requeues, and drained capacity.
 func Verify(tr *trace.Trace, opt sim.Options) error {
-	if opt.Faults.Enabled() {
-		rec := &obs.Recorder{}
-		opt.Observer = obs.Tee(opt.Observer, rec)
-		res, err := sim.Run(tr, opt)
-		if err != nil {
-			return fmt.Errorf("check: optimized simulator: %w", err)
-		}
-		if err := AuditStream(tr, opt, rec.Events, res).Err(); err != nil {
-			return fmt.Errorf("%w (under %s + %s with faults)", err, opt.Policy, opt.Backfill)
-		}
-		ref, err := Oracle(tr, opt)
-		if err != nil {
-			return fmt.Errorf("check: oracle: %w", err)
-		}
-		if err := compare(res, ref).Err(); err != nil {
-			return fmt.Errorf("%w (under %s + %s with faults)", err, opt.Policy, opt.Backfill)
-		}
-		return nil
-	}
+	rec := &obs.Recorder{}
+	opt.Observer = obs.Tee(opt.Observer, rec)
 	res, err := sim.Run(tr, opt)
 	if err != nil {
 		return fmt.Errorf("check: optimized simulator: %w", err)
 	}
-	if err := Audit(tr, opt, res).Err(); err != nil {
-		return fmt.Errorf("%w (under %s + %s)", err, opt.Policy, opt.Backfill)
+	audit, under := Audit, fmt.Sprintf("under %s + %s", opt.Policy, opt.Backfill)
+	if opt.Faults.Enabled() {
+		audit, under = AuditStream, under+" with faults"
+	}
+	if err := audit(tr, opt, rec.Events, res).Err(); err != nil {
+		return fmt.Errorf("%w (%s)", err, under)
 	}
 	ref, err := Oracle(tr, opt)
 	if err != nil {
 		return fmt.Errorf("check: oracle: %w", err)
 	}
 	if err := compare(res, ref).Err(); err != nil {
-		return fmt.Errorf("%w (under %s + %s)", err, opt.Policy, opt.Backfill)
+		return fmt.Errorf("%w (%s)", err, under)
 	}
 	return nil
 }

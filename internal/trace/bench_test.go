@@ -45,24 +45,53 @@ func BenchmarkSWFStreamRead(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := trace.NewSWFStream(bytes.NewReader(data))
+		n, err := drainSWFStream(data)
 		if err != nil {
 			b.Fatal(err)
-		}
-		n := 0
-		for {
-			_, err := s.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-			n++
 		}
 		if n != tr.Len() {
 			b.Fatalf("read %d jobs, want %d", n, tr.Len())
 		}
 	}
 	b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "jobs/s")
+}
+
+// TestSWFStreamReadAllocs pins BenchmarkSWFStreamRead's allocation count:
+// draining the 69k-job trace allocates only the reader's fixed buffers, so
+// one allocation per line would show up as tens of thousands.
+func TestSWFStreamReadAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting is slow")
+	}
+	_, data := heliosSWF()
+	var readErr error
+	got := testing.AllocsPerRun(20, func() {
+		if _, err := drainSWFStream(data); err != nil {
+			readErr = err
+		}
+	})
+	if readErr != nil {
+		t.Fatal(readErr)
+	}
+	if got != 11 {
+		t.Errorf("%v allocs per drained trace, want 11", got)
+	}
+}
+
+// drainSWFStream reads an SWF trace through the streaming reader and
+// returns its job count.
+func drainSWFStream(data []byte) (int, error) {
+	s, err := trace.NewSWFStream(bytes.NewReader(data))
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for {
+		if _, err := s.Next(); err == io.EOF {
+			return n, nil
+		} else if err != nil {
+			return n, err
+		}
+		n++
+	}
 }

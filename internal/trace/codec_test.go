@@ -165,6 +165,10 @@ func TestSWFRejectsInvalidFields(t *testing.T) {
 		{"zero procs", "1 0.0 0.0 1.0 0 -1 -1 0 1.0 -1 1 1 -1 -1 -1 -1 -1 -1\n", "procs"},
 		{"negative procs", "1 0.0 0.0 1.0 -3 -1 -1 -3 1.0 -1 1 1 -1 -1 -1 -1 -1 -1\n", "procs"},
 		{"wider than machine", "1 0.0 0.0 1.0 128 -1 -1 128 1.0 -1 1 1 -1 -1 -1 -1 -1 -1\n", "line 2"},
+		{"fractional procs", "1 0.0 0.0 1.0 1 -1 -1 .1 1.0 -1 1 1 -1 -1 -1 -1 -1 -1\n", "line 2: procs"},
+		{"NaN used procs", "1 0.0 0.0 1.0 NAN -1 -1 0 1.0 -1 1 1 -1 -1 -1 -1 -1 -1\n", "line 2: procs"},
+		{"huge procs", "1 0.0 0.0 1.0 1 -1 -1 1e30 1.0 -1 1 1 -1 -1 -1 -1 -1 -1\n", "line 2: procs"},
+		{"infinite procs", "1 0.0 0.0 1.0 1 -1 -1 +Inf 1.0 -1 1 1 -1 -1 -1 -1 -1 -1\n", "line 2: procs"},
 	}
 	for _, tc := range cases {
 		_, err := ReadSWF(strings.NewReader(header + tc.line))

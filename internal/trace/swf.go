@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -407,10 +408,11 @@ func parseSWFLine(f *[swfFields][]byte) (Job, error) {
 			return j, fmt.Errorf("procs: %w", err)
 		}
 	}
-	if procs <= 0 {
-		// Neither the requested nor the used processor count is usable —
-		// a zero-width job cannot be scheduled.
-		return j, fmt.Errorf("procs: non-positive count %v", procs)
+	if !(procs >= 1 && procs <= math.MaxInt32 && procs == math.Trunc(procs)) {
+		// Neither the requested nor the used processor count is usable: a
+		// zero-width job cannot be scheduled, and NaN, infinities, fractions
+		// and counts past MaxInt32 would convert to 0 or a wrapped negative.
+		return j, fmt.Errorf("procs: count %v is not a whole number in [1, %d]", procs, math.MaxInt32)
 	}
 	j.Procs = int(procs)
 	if j.Walltime, err = get(8); err != nil {

@@ -105,8 +105,8 @@ func refParseSWFLine(line string) (header, blank bool, j Job, err error) {
 			return false, false, j, fmt.Errorf("procs: %w", err)
 		}
 	}
-	if procs <= 0 {
-		return false, false, j, fmt.Errorf("procs: non-positive count %v", procs)
+	if procs <= 0 || math.IsNaN(procs) || procs > math.MaxInt32 || procs != math.Floor(procs) {
+		return false, false, j, fmt.Errorf("procs: count %v is not a whole number in [1, %d]", procs, math.MaxInt32)
 	}
 	j.Procs = int(procs)
 	if j.Walltime, err = get(8); err != nil {

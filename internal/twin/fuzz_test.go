@@ -52,8 +52,13 @@ func FuzzSessionMatchesFullReplay(f *testing.F) {
 			Backfill:   sim.Backfills[in.next()%len(sim.Backfills)],
 			Seed:       uint64(in.next()),
 		}
-		cfg.ColdWhatIf = in.next()%4 == 0
-		s, err := newSession("fuzz", cfg, Config{}.withDefaults())
+		var limits Config
+		if in.next()%4 == 0 {
+			// fuzzWhatIf's largest fan-out: a session that queries more
+			// distinct configurations forks transient checkpoints.
+			limits.MaxCandidates = 3
+		}
+		s, err := newSession("fuzz", cfg, limits.withDefaults())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +124,7 @@ func FuzzSessionMatchesFullReplay(f *testing.F) {
 		}
 
 		ref := fuzzReference(t, s)
-		r, err := newSession("fuzz", cfg, Config{}.withDefaults())
+		r, err := newSession("fuzz", cfg, limits.withDefaults())
 		if err != nil {
 			t.Fatal(err)
 		}

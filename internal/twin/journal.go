@@ -113,7 +113,8 @@ type record struct {
 }
 
 // journalConfig is SessionConfig with enums as wire strings, so journals
-// survive enum renumbering.
+// survive enum renumbering. Decoding ignores fields it does not know, such
+// as the opt-out of warm what-if forks that older journals carry.
 type journalConfig struct {
 	Profile    string  `json:"profile,omitempty"`
 	Cores      int     `json:"cores"`
@@ -123,7 +124,6 @@ type journalConfig struct {
 	Relax      float64 `json:"relax,omitempty"`
 	Seed       uint64  `json:"seed,omitempty"`
 	TickRate   float64 `json:"tick_rate,omitempty"`
-	ColdWhatIf bool    `json:"cold_whatif,omitempty"`
 }
 
 func toJournalConfig(cfg SessionConfig) *journalConfig {
@@ -136,7 +136,6 @@ func toJournalConfig(cfg SessionConfig) *journalConfig {
 		Relax:      cfg.RelaxFactor,
 		Seed:       cfg.Seed,
 		TickRate:   cfg.TickRate,
-		ColdWhatIf: cfg.ColdWhatIf,
 	}
 }
 
@@ -148,7 +147,6 @@ func fromJournalConfig(jc *journalConfig) (SessionConfig, error) {
 		RelaxFactor: jc.Relax,
 		Seed:        jc.Seed,
 		TickRate:    jc.TickRate,
-		ColdWhatIf:  jc.ColdWhatIf,
 	}
 	var err error
 	if cfg.Policy, err = ParsePolicy(jc.Policy); err != nil {

@@ -2,6 +2,8 @@ package twin
 
 import (
 	"bytes"
+	"context"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -310,4 +312,53 @@ func TestJournalTornTailTruncated(t *testing.T) {
 			t.Fatalf("later segments not deleted: %v", left)
 		}
 	})
+}
+
+// TestJournalRecoversColdWhatIfField: journals written while sessions
+// could opt out of warm what-if forks carry "cold_whatif" in their create
+// record. The field is gone; such a journal still recovers, and the
+// session answers what-ifs like the sim.Run reference.
+func TestJournalRecoversColdWhatIfField(t *testing.T) {
+	dir := t.TempDir()
+	var wal []byte
+	for _, payload := range []string{
+		`{"op":"create","id":"s000001","cfg":{"cores":64,"partitions":1,"policy":"FCFS","backfill":"EASY","seed":7,"cold_whatif":true}}`,
+		`{"op":"submit","jobs":[{"id":0,"submit":0,"run":600,"procs":48,"vc":-1},{"id":1,"submit":10,"run":300,"procs":40,"vc":-1},{"id":2,"submit":20,"run":60,"procs":8,"vc":-1},{"id":3,"submit":30,"run":900,"procs":32,"vc":-1}]}`,
+		`{"op":"advance","to":100}`,
+	} {
+		wal = appendHex32(wal, uint32(len(payload)))
+		wal = append(wal, ' ')
+		wal = appendHex32(wal, crc32.ChecksumIEEE([]byte(payload)))
+		wal = append(wal, ' ')
+		wal = append(wal, payload...)
+		wal = append(wal, '\n')
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "s000001"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "s000001", "000001.wal"), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m := testManager(t, Config{StateDir: dir})
+	if got := m.Metrics(); got.TwinRecovered != 1 || got.TwinTruncations != 0 {
+		t.Fatalf("recovery metrics = %+v, want 1 recovered, 0 truncations", got)
+	}
+	s, err := m.Get("s000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := WhatIfRequest{Candidates: []Candidate{{Policy: "sjf"}, {Backfill: "conservative"}}}
+	got, err := s.WhatIf(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fuzzReference(t, s).report(t, s, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameJSON(t, "recovered report", got, want)
+	if got.Now != 100 || got.PendingJobs == 0 {
+		t.Fatalf("recovered session at t=%v with %d pending jobs, want t=100 and some pending", got.Now, got.PendingJobs)
+	}
 }

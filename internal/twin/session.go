@@ -36,13 +36,6 @@ type SessionConfig struct {
 	// simulated seconds per wall-clock second via the manager's ticker.
 	// Zero means the clock only moves on explicit Advance calls.
 	TickRate float64
-	// ColdWhatIf disables warm-started what-if forks: every candidate
-	// replays the full submission log from t=0 instead of forking a
-	// checkpoint held at the session clock (the baseline the deltas compare
-	// against is still a fork of the session's baseline checkpoint). The
-	// reports are byte-identical either way (the checkpoint contract); the
-	// switch exists for A/B latency measurement and as an escape hatch.
-	ColdWhatIf bool
 }
 
 // JobSpec is one submitted job, the wire form of a trace.Job the client

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -552,12 +553,12 @@ func TestWhatIfMatchesDirectSimulation(t *testing.T) {
 	}
 }
 
-// TestWhatIfWarmMatchesCold is the warm-start regression pin: two sessions
-// fed identically — one forking warm checkpoints (default), one forced to
-// cold full replays — must produce byte-identical what-if reports through
-// repeated submit/advance/query cycles, at every worker count. The warm
-// session is queried twice per cycle so the second query exercises the
-// extend-and-advance path on checkpoints the first one created.
+// TestWhatIfWarmMatchesCold is the warm-start regression pin: through
+// repeated submit/advance/query cycles, at every worker count, every
+// what-if report must be byte-identical to the reference — each candidate
+// replayed by an independent sim.Run over the log. The session is queried
+// twice per cycle so the second query exercises the extend-and-advance
+// path on checkpoints the first one created.
 func TestWhatIfWarmMatchesCold(t *testing.T) {
 	cands := []Candidate{
 		{}, // baseline config itself
@@ -573,45 +574,27 @@ func TestWhatIfWarmMatchesCold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		coldCfg := cfg
-		coldCfg.ColdWhatIf = true
-		cold, err := m.Create(coldCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
 		ctx := par.WithLimit(context.Background(), workers)
 		clock := 0.0
 		for cycle := 0; cycle < 3; cycle++ {
-			jobs := burst(30, clock)
-			if _, err := warm.Submit(jobs); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := cold.Submit(jobs); err != nil {
+			if _, err := warm.Submit(burst(30, clock)); err != nil {
 				t.Fatal(err)
 			}
 			clock += 600
 			if err := warm.AdvanceTo(clock); err != nil {
 				t.Fatal(err)
 			}
-			if err := cold.AdvanceTo(clock); err != nil {
+			req := WhatIfRequest{Candidates: cands}
+			want, err := fuzzReference(t, warm).report(t, warm, req)
+			if err != nil {
 				t.Fatal(err)
 			}
 			for q := 0; q < 2; q++ {
-				wrep, err := warm.WhatIf(ctx, WhatIfRequest{Candidates: cands})
+				got, err := warm.WhatIf(ctx, req)
 				if err != nil {
-					t.Fatalf("cycle %d query %d warm: %v", cycle, q, err)
+					t.Fatalf("cycle %d query %d: %v", cycle, q, err)
 				}
-				crep, err := cold.WhatIf(ctx, WhatIfRequest{Candidates: cands})
-				if err != nil {
-					t.Fatalf("cycle %d query %d cold: %v", cycle, q, err)
-				}
-				crep.Session = wrep.Session // only intended difference
-				wb, _ := json.Marshal(wrep)
-				cb, _ := json.Marshal(crep)
-				if string(wb) != string(cb) {
-					t.Fatalf("cycle %d query %d workers %d: warm report differs from cold:\n%s\nvs\n%s",
-						cycle, q, workers, wb, cb)
-				}
+				sameJSON(t, fmt.Sprintf("cycle %d query %d workers %d report", cycle, q, workers), got, want)
 			}
 		}
 		// The warm table holds the candidate configs other than the
@@ -623,12 +606,6 @@ func TestWhatIfWarmMatchesCold(t *testing.T) {
 		if nWarm != 4 {
 			t.Fatalf("warm table has %d checkpoints, want 4", nWarm)
 		}
-		cold.warmMu.Lock()
-		nCold := len(cold.warm)
-		cold.warmMu.Unlock()
-		if nCold != 0 {
-			t.Fatalf("cold session grew %d checkpoints, want 0", nCold)
-		}
 		m.Close()
 	}
 }
@@ -636,9 +613,9 @@ func TestWhatIfWarmMatchesCold(t *testing.T) {
 // TestWhatIfFaultSeedOverride: a what-if whose seed overrides the
 // session's forks its own warm checkpoint per fault candidate (the key
 // carries the effective seed), and both seeds' reports stay byte-identical
-// to a cold session's — also when a query lands after the clock passed
-// every submit, so the next Extend changes the outage schedule before the
-// checkpoint's pause.
+// to the sim.Run reference — also when a query lands after the clock
+// passed every submit, so the next Extend changes the outage schedule
+// before the checkpoint's pause.
 func TestWhatIfFaultSeedOverride(t *testing.T) {
 	cands := []Candidate{
 		{Faults: "mtbf=900,mttr=300,frac=0.5,pint=0.05,recovery=requeue,retry=2"},
@@ -650,47 +627,31 @@ func TestWhatIfFaultSeedOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldCfg := cfg
-	coldCfg.ColdWhatIf = true
-	cold, err := m.Create(coldCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	override := uint64(99)
 	ctx := context.Background()
 	clock := 0.0
 	var faulted [2]int // interrupted attempts summed per seed
 	for cycle := 0; cycle < 4; cycle++ {
-		jobs := burst(30, clock)
-		for _, s := range []*Session{warm, cold} {
-			if _, err := s.Submit(jobs); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := warm.Submit(burst(30, clock)); err != nil {
+			t.Fatal(err)
 		}
 		// Odd cycles query past the last submit (bursts span 300 s).
 		clock += 150 + 1050*float64(cycle%2)
-		for _, s := range []*Session{warm, cold} {
-			if err := s.AdvanceTo(clock); err != nil {
-				t.Fatal(err)
-			}
+		if err := warm.AdvanceTo(clock); err != nil {
+			t.Fatal(err)
 		}
 		for k, seed := range []*uint64{nil, &override} {
 			req := WhatIfRequest{Candidates: cands, Seed: seed}
-			wrep, err := warm.WhatIf(ctx, req)
+			got, err := warm.WhatIf(ctx, req)
 			if err != nil {
-				t.Fatalf("cycle %d seed %d warm: %v", cycle, k, err)
+				t.Fatalf("cycle %d seed %d: %v", cycle, k, err)
 			}
-			crep, err := cold.WhatIf(ctx, req)
+			want, err := fuzzReference(t, warm).report(t, warm, req)
 			if err != nil {
-				t.Fatalf("cycle %d seed %d cold: %v", cycle, k, err)
+				t.Fatal(err)
 			}
-			crep.Session = wrep.Session
-			wb, _ := json.Marshal(wrep)
-			cb, _ := json.Marshal(crep)
-			if string(wb) != string(cb) {
-				t.Fatalf("cycle %d seed %d: warm report differs from cold:\n%s\nvs\n%s", cycle, k, wb, cb)
-			}
-			for _, o := range wrep.Ranking {
+			sameJSON(t, fmt.Sprintf("cycle %d seed %d report", cycle, k), got, want)
+			for _, o := range got.Ranking {
 				faulted[k] += o.Interrupted
 			}
 		}
@@ -775,8 +736,9 @@ func TestWhatIfSnapshotUnderConcurrentMutations(t *testing.T) {
 }
 
 // TestWhatIfWarmTableCap pins the warm-table budget: distinct candidate
-// configurations beyond MaxCandidates replay cold instead of growing the
-// checkpoint table without bound.
+// configurations beyond MaxCandidates fork transient checkpoints instead
+// of growing the table without bound, and their outcomes still equal the
+// sim.Run reference.
 func TestWhatIfWarmTableCap(t *testing.T) {
 	m := testManager(t, Config{MaxCandidates: 2})
 	s, err := m.Create(SessionConfig{Cores: 16, Policy: sim.FCFS, Backfill: sim.EASY})
@@ -788,18 +750,79 @@ func TestWhatIfWarmTableCap(t *testing.T) {
 	}
 	ctx := context.Background()
 	for _, c := range [][]Candidate{
-		{{Policy: "fcfs"}, {Policy: "sjf"}},
+		{{Policy: "sjf"}, {Policy: "wfp3"}},
 		{{Policy: "saf"}, {Policy: "f1"}},
 	} {
-		if _, err := s.WhatIf(ctx, WhatIfRequest{Candidates: c}); err != nil {
+		req := WhatIfRequest{Candidates: c}
+		got, err := s.WhatIf(ctx, req)
+		if err != nil {
 			t.Fatal(err)
 		}
+		want, err := fuzzReference(t, s).report(t, s, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameJSON(t, "report", got, want)
 	}
 	s.warmMu.Lock()
 	n := len(s.warm)
 	s.warmMu.Unlock()
 	if n != 2 {
 		t.Fatalf("warm table has %d checkpoints, cap is 2", n)
+	}
+}
+
+// TestWhatIfForkFallbacks pins the two table entries fork cannot use as
+// they stand. One that a newer query moved past an older snapshot is kept,
+// and the old snapshot forks a transient checkpoint. A broken one (here an
+// entry whose trace the log cannot extend) is replaced by a fresh build.
+// Either way the run equals sim.Run over the snapshot.
+func TestWhatIfForkFallbacks(t *testing.T) {
+	m := testManager(t, Config{})
+	s, err := m.Create(SessionConfig{Cores: 16, Policy: sim.FCFS, Backfill: sim.EASY})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := sim.Options{Policy: sim.SJF, Backfill: sim.EASY}
+	key := configKey(opt)
+	check := func(what string, tr *trace.Trace) {
+		t.Helper()
+		f, err := s.fork(opt, tr, s.Now())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := f.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sim.Run(tr, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameJSON(t, what, got, want)
+	}
+
+	if _, err := s.Submit(burst(10, 0)); err != nil {
+		t.Fatal(err)
+	}
+	old := s.traceOf(s.jobs)
+	if _, err := s.Submit(burst(10, 0)); err != nil {
+		t.Fatal(err)
+	}
+	check("current snapshot", s.traceOf(s.jobs))
+	entry := s.warm[key]
+	check("older snapshot", old)
+	if s.warm[key] != entry || entry.Len() != 20 {
+		t.Fatalf("the older snapshot replaced or rewound the newer entry")
+	}
+
+	late := s.traceOf([]trace.Job{{ID: 0, Submit: 1e9, Run: 1, Procs: 1}})
+	if s.warm[key], err = sim.RunToCheckpoint(late, opt, 0); err != nil {
+		t.Fatal(err)
+	}
+	check("broken entry", s.traceOf(s.jobs))
+	if ck := s.warm[key]; ck.Len() != 20 || ck.Jobs()[0].Submit == 1e9 {
+		t.Fatalf("the broken entry was not replaced by a fresh build")
 	}
 }
 

@@ -93,16 +93,16 @@ type Report struct {
 
 // WhatIf forks the twin and runs every candidate configuration over the
 // submission log concurrently on the internal/par pool, returning the
-// ranked outcomes. Each candidate — fault-injected ones included — forks a
-// checkpoint of its own configuration held at the session clock, so only
-// the schedule from the clock on is simulated; the fork is still a
-// counterfactual of the whole log (jobs already dispatched are
+// ranked outcomes. Each candidate — fault-injected ones included — runs a
+// fork of a checkpoint of its own configuration held at the session clock
+// (see fork), so only the schedule from the clock on is simulated; the fork
+// is still a counterfactual of the whole log (jobs already dispatched are
 // re-scheduled under the candidate too), but scoring is restricted to the
 // still-pending jobs so committed work does not drown the signal. The
 // baseline the deltas compare against is one more fork — of the session's
 // own baseline checkpoint — unless it is cached from an earlier query over
-// the same log. Only ColdWhatIf sessions, a full warm table, and the
-// race fallback in runWarm replay the log from t=0.
+// the same log, and a candidate on the baseline's configuration takes the
+// baseline's result.
 func (s *Session) WhatIf(ctx context.Context, req WhatIfRequest) (*Report, error) {
 	if len(req.Candidates) == 0 {
 		return nil, fmt.Errorf("twin: what-if needs at least one candidate")
@@ -154,24 +154,12 @@ func (s *Session) WhatIf(ctx context.Context, req WhatIfRequest) (*Report, error
 
 	tr := s.traceOf(jobs)
 
-	// Warm starts: each candidate forks a checkpoint already advanced to
-	// the clock instead of replaying the log from t=0; one on the
-	// baseline configuration takes the baseline's own result. A candidate
-	// with neither (cold mode, table full, or a checkpoint raced past this
-	// snapshot) replays cold; the checkpoint contract makes every path
-	// byte-identical, so mixing them per candidate is invisible in the
-	// report.
+	// A candidate on the baseline configuration takes the baseline's own
+	// result; every other one runs a fork of its configuration at the clock.
 	baseKey := configKey(s.baseOptions())
-	cks := make([]*sim.Checkpoint, len(opts))
 	isBase := make([]bool, len(opts))
 	for i := range opts {
-		switch {
-		case s.cfg.ColdWhatIf:
-		case configKey(opts[i]) == baseKey:
-			isBase[i] = true
-		default:
-			cks[i] = s.warmCheckpoint(opts[i], tr, now)
-		}
+		isBase[i] = configKey(opts[i]) == baseKey
 	}
 
 	// The baseline fork, when present, is the fan-out's first item, and
@@ -193,20 +181,16 @@ func (s *Session) WhatIf(ctx context.Context, req WhatIfRequest) (*Report, error
 			return nil
 		}
 		i -= off
-		var res *sim.Result
-		var err error
-		switch {
-		case isBase[i]:
+		if isBase[i] {
 			return nil // filled from the baseline below
-		case cks[i] != nil:
-			res, err = s.runWarm(ctx, cks[i], tr, now, opts[i])
-		default:
-			res, err = sim.RunContext(ctx, tr, opts[i])
+		}
+		f, err := s.fork(opts[i], tr, now)
+		if err == nil {
+			results[i], err = f.Run(ctx)
 		}
 		if err != nil {
 			return fmt.Errorf("twin: candidate %d: %w", i, err)
 		}
-		results[i] = res
 		return nil
 	})
 	if err != nil {
@@ -322,14 +306,18 @@ func (s *Session) candidateOptions(c Candidate, seed uint64) (sim.Options, error
 	return opt, nil
 }
 
-// warmCheckpoint returns the session's paused simulation for one candidate
-// configuration, caught up to the query snapshot — created on first use,
-// then extended with the log suffix and advanced to the clock. It returns
-// nil when the candidate must replay cold: the table is at capacity, a
-// checkpoint operation failed (the entry is dropped so the next query
-// rebuilds it), or a concurrent query with a longer log already pushed the
-// checkpoint past this snapshot (forking it would cover jobs the snapshot
-// does not).
+// fork returns a paused simulation of one candidate configuration at the
+// query snapshot — the log tr and the clock now — ready to run. Forks are
+// taken per fan-out worker, so at most one per worker is alive.
+//
+// The session's warm table entry for the configuration serves it: created
+// on first use, then extended with the log suffix, advanced to the clock
+// and forked, all under one warmMu hold, so a concurrent query cannot move
+// the entry between catch-up and fork. A broken entry is replaced by a
+// fresh build. When no entry can serve the snapshot — the table is at
+// MaxCandidates, or a concurrent query with a longer log already moved the
+// entry past it (the entry is kept) — the fork comes from a transient
+// checkpoint built for this snapshot and dropped after.
 //
 // The Extend precondition — suffix jobs arrive at or after the pause time —
 // holds by construction: the pause time is always some earlier session
@@ -340,57 +328,54 @@ func (s *Session) candidateOptions(c Candidate, seed uint64) (sim.Options, error
 // after a query made once the clock had passed every submit, the next
 // Extend may rebuild the checkpoint by one run of the log (see
 // sim.Checkpoint.Extend).
-func (s *Session) warmCheckpoint(opt sim.Options, tr *trace.Trace, now float64) *sim.Checkpoint {
-	key := configKey(opt)
+func (s *Session) fork(opt sim.Options, tr *trace.Trace, now float64) (*sim.Fork, error) {
 	s.warmMu.Lock()
-	defer s.warmMu.Unlock()
-	ck := s.warm[key]
-	if ck == nil {
-		if len(s.warm) >= s.limits.MaxCandidates {
-			return nil // table full: replay cold, keep the hot keys warm
-		}
-		ck, err := sim.RunToCheckpoint(tr, opt, now)
-		if err != nil {
-			return nil
-		}
-		if s.warm == nil {
-			s.warm = make(map[string]*sim.Checkpoint)
-		}
-		s.warm[key] = ck
-		return ck
+	f, err := s.forkWarm(opt, tr, now)
+	s.warmMu.Unlock()
+	if f != nil || err != nil {
+		return f, err
 	}
-	if ck.Len() > len(tr.Jobs) || ck.PausedAt() > now {
-		return nil
+	ck, err := sim.RunToCheckpoint(tr, opt, now)
+	if err != nil {
+		return nil, err
 	}
-	if n := ck.Len(); n < len(tr.Jobs) {
-		if err := ck.Extend(tr.Jobs[n:]); err != nil {
-			delete(s.warm, key)
-			return nil
-		}
-	}
-	if err := ck.AdvanceTo(now); err != nil {
-		delete(s.warm, key)
-		return nil
-	}
-	return ck
+	return ck.Fork()
 }
 
-// runWarm runs one candidate from its warm checkpoint: forked while it
-// still sits at the query snapshot, or — when a concurrent query with a
-// longer log has moved it on since warmCheckpoint — replayed cold over the
-// snapshot. Forking here rather than up front keeps at most one fork per
-// fan-out worker alive.
-func (s *Session) runWarm(ctx context.Context, ck *sim.Checkpoint, tr *trace.Trace, now float64, opt sim.Options) (*sim.Result, error) {
-	s.warmMu.Lock()
-	var f *sim.Fork
-	if ck.Len() == len(tr.Jobs) && ck.PausedAt() == now {
-		f, _ = ck.Fork() // a broken checkpoint replays cold below
+// forkWarm is fork's warm-table half, called with warmMu held. It returns
+// a nil fork and error when no table entry can serve the snapshot.
+func (s *Session) forkWarm(opt sim.Options, tr *trace.Trace, now float64) (*sim.Fork, error) {
+	key := configKey(opt)
+	if ck := s.warm[key]; ck != nil {
+		n := ck.Len()
+		if n > len(tr.Jobs) || ck.PausedAt() > now {
+			return nil, nil
+		}
+		err := ck.Extend(tr.Jobs[n:])
+		if err == nil {
+			err = ck.AdvanceTo(now)
+		}
+		var f *sim.Fork
+		if err == nil {
+			f, err = ck.Fork()
+		}
+		if err == nil {
+			return f, nil
+		}
+		delete(s.warm, key) // broken: the fresh build below replaces it
 	}
-	s.warmMu.Unlock()
-	if f == nil {
-		return sim.RunContext(ctx, tr, opt)
+	if len(s.warm) >= s.limits.MaxCandidates {
+		return nil, nil
 	}
-	return f.Run(ctx)
+	ck, err := sim.RunToCheckpoint(tr, opt, now)
+	if err != nil {
+		return nil, err
+	}
+	if s.warm == nil {
+		s.warm = make(map[string]*sim.Checkpoint)
+	}
+	s.warm[key] = ck
+	return ck.Fork()
 }
 
 // configKey names a scheduling configuration: the warm table's key, and

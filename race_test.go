@@ -1,0 +1,5 @@
+//go:build race
+
+package crosssched
+
+const raceEnabled = true

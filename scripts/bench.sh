@@ -1,7 +1,8 @@
 #!/bin/sh
 # bench.sh — run the simulator benchmarks and emit a machine-readable JSON
-# summary, suitable for committing as a baseline (BENCH_baseline.json) or
-# diffing against one in CI.
+# summary. CI runs it once as a smoke test; timing comparisons between
+# commits belong to the repository benchmark (perfbench/), and allocation
+# counts are pinned by go test (TestHotPathAllocs, TestSWFStreamReadAllocs).
 #
 # Usage:
 #   scripts/bench.sh [pattern] [count] [out.json]

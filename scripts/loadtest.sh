@@ -13,7 +13,7 @@
 # Environment:
 #   RACE=-race       build server and client under the race detector (CI smoke)
 #   TWINLOAD_FLAGS   extra flags passed to twinload verbatim, e.g.
-#                    "-jobs 40 -cold-whatif" for the warm-vs-cold what-if A/B
+#                    "-jobs 150 -advance 100000" for deep-log what-ifs
 #   SERVER_FLAGS     extra flags passed to lumosweb verbatim, e.g.
 #                    "-state-dir /tmp/twins -fsync always" for durability A/Bs
 #
