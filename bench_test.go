@@ -439,6 +439,26 @@ func streamPipeline(b *testing.B, p *synth.Profile) {
 // (~200k jobs end to end per iteration).
 func BenchmarkStreamPipelineHelios(b *testing.B) { streamPipeline(b, synth.Helios(30)) }
 
+// BenchmarkStreamColdHelios streams a 10-day Helios trace (~68k jobs)
+// from a slice through a fresh sim.Runner per op: what one `schedsim
+// -stream` process pays, window growth included. The warm benchmarks above
+// reuse a pooled Runner whose window buffers are already grown. Arrival
+// order retirement keeps almost the whole trace in the window here (one
+// multi-week job pins the prefix), so B/op tracks the window's storage.
+func BenchmarkStreamColdHelios(b *testing.B) {
+	tr := benchTrace(b, "Helios", 10)
+	opt := sim.Options{Policy: sim.FCFS, Backfill: sim.EASY}
+	sink := func(sim.StreamRow) error { return nil }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.NewRunner().RunStream(trace.NewSliceStream(tr), opt, sink); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "jobs/s")
+}
+
 // BenchmarkStreamSimulator10M generates and schedules ~10 million jobs per
 // iteration (~60s); select it explicitly (scripts/bench.sh
 // BenchmarkStreamSimulator10M 1) rather than in the smoke pattern. The

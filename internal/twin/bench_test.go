@@ -78,3 +78,37 @@ func BenchmarkTwinDeepSession(b *testing.B) {
 		s.Close()
 	}
 }
+
+// BenchmarkCheckpointFork measures one fork of a deep session's baseline
+// checkpoint: BenchmarkTwinDeepSession's 25 x 150-job script (3,750 jobs)
+// submitted and advanced to its final clock, then forked once per op. A
+// fork copies the paused simulator's in-flight state and the per-arrival
+// waits and promises; B/op is the number to watch.
+func BenchmarkCheckpointFork(b *testing.B) {
+	const cores = 512
+	batches, advances := deepBatches(25, cores)
+	cfg := SessionConfig{Cores: cores, Partitions: 2, Policy: sim.FCFS, Backfill: sim.EASY, Seed: 1}
+	s, err := newSession("bench", cfg, Config{}.withDefaults())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	for k, jobs := range batches {
+		if _, err := s.Submit(jobs); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.AdvanceBy(advances[k]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if n := s.base.Len(); n != 3750 {
+		b.Fatalf("log holds %d jobs, want 3750", n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.base.Fork(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
