@@ -10,8 +10,9 @@ import (
 
 // TestHotPathAllocs pins the allocation counts of the simulator's hot
 // paths on BenchmarkSimulatorEASY's workload (8 congested Theta days): a
-// pooled sim.Run allocates only its Result, and the streamed run on the
-// same trace even less. A new allocation per job or per scheduling pass
+// pooled sim.Run allocates only its Result, the streamed run on the same
+// trace even less, and a streamed run on a fresh Runner only its working
+// set (window pages, in-flight arena, queues), once. A new allocation per job or per scheduling pass
 // shows up here as thousands per run. The counts are exact, so unlike a
 // timing comparison they need no quiet host.
 func TestHotPathAllocs(t *testing.T) {
@@ -34,16 +35,23 @@ func TestHotPathAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		want float64
+		runs int
 		run  func() error
 	}{
-		{"Run", 4, func() error { _, err := sim.Run(tr, opt); return err }},
-		{"RunStream", 3, func() error { _, err := sim.RunStream(trace.NewSliceStream(tr), opt, sink); return err }},
+		{"Run", 4, 100, func() error { _, err := sim.Run(tr, opt); return err }},
+		{"RunStream", 3, 100, func() error { _, err := sim.RunStream(trace.NewSliceStream(tr), opt, sink); return err }},
+		// A fresh Runner per run, as one schedsim -stream process pays:
+		// window pages, arena and queue growth included.
+		{"RunStream/cold", 81, 5, func() error {
+			_, err := sim.NewRunner().RunStream(trace.NewSliceStream(tr), opt, sink)
+			return err
+		}},
 	} {
 		if err := c.run(); err != nil { // warm the Runner pool
 			t.Fatal(err)
 		}
 		var runErr error
-		got := testing.AllocsPerRun(100, func() {
+		got := testing.AllocsPerRun(c.runs, func() {
 			if err := c.run(); err != nil {
 				runErr = err
 			}

@@ -142,6 +142,11 @@ func TestTwinErrorCodes(t *testing.T) {
 	if code := post(t, srv.URL+"/session", `{}`, nil); code != http.StatusBadRequest {
 		t.Fatalf("clusterless session: %d, want 400", code)
 	}
+	// A partition count is allocated up front; a huge one is refused
+	// before anything is sized by it.
+	if code := post(t, srv.URL+"/session", `{"cores": 2000000000, "partitions": 1000000000}`, nil); code != http.StatusBadRequest {
+		t.Fatalf("oversized partition count: %d, want 400", code)
+	}
 	// Every what-if forks a checkpoint; the old opt-out is an unknown field.
 	if code := post(t, srv.URL+"/session", `{"cores": 8, "cold_whatif": true}`, nil); code != http.StatusBadRequest {
 		t.Fatalf("removed cold_whatif field: %d, want 400", code)

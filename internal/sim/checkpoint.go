@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"crosssched/internal/cluster"
@@ -201,22 +202,13 @@ func (ck *Checkpoint) Extend(jobs []trace.Job) error {
 	}
 	ck.jobs = append(ck.jobs, jobs...)
 	s.jobs = ck.jobs
-	// Grow the per-arrival arrays alongside. The pending arena may move;
-	// queue entries point into it and must be re-anchored by arrival index
-	// (idxBase is always 0 here — checkpoints are materialized).
-	oldArena := s.pendings
-	s.pendings = append(s.pendings, make([]pending, len(jobs))...)
-	if len(oldArena) > 0 && &oldArena[0] != &s.pendings[0] {
-		for p := range s.parts {
-			q := &s.parts[p].q
-			for i, pj := range q.buf[q.head:] {
-				q.buf[q.head+i] = &s.pendings[pj.idx]
-			}
-		}
-	}
-	s.waits = append(s.waits, make([]float64, len(jobs))...)
+	// Grow the row page alongside; the in-flight arena is sized by the
+	// jobs in flight and has nothing to grow.
+	rows := &s.rows.pages[0]
+	rows.jobs = ck.jobs
+	rows.waits = append(rows.waits, make([]float64, len(jobs))...)
 	for range jobs {
-		s.promised = append(s.promised, -1)
+		rows.promised = append(rows.promised, -1)
 	}
 	if s.flt != nil {
 		s.flt.grow(len(jobs))
@@ -299,10 +291,11 @@ func (f *Fork) Run(ctx context.Context) (*Result, error) {
 }
 
 // cloneSimulator copies a paused materialized simulator into dst so the two
-// can run independently. Authoritative state — the pending arena, queues,
-// completion heap, cluster, fair-share accounts, per-arrival arrays, and
-// every counter, and the fault layer's per-job state — is deep-copied;
-// the compiled fault schedule and config are immutable and shared; pure
+// can run independently. Authoritative state — the in-flight arena and its
+// free list, queues, completion heap, cluster, fair-share accounts, the
+// per-arrival waits and promises, every counter, and the fault layer's
+// per-job state — is deep-copied; the jobs are shared read-only; the
+// compiled fault schedule and config are immutable and shared; pure
 // caches (score sort, profile, shadow, backfill-scan memo, conservative
 // plan) are dropped instead, which the cache invariants already prove
 // changes no scheduling decision, only re-derivation work. The event tap
@@ -314,28 +307,27 @@ func cloneSimulator(dst, src *simulator) {
 	dst.cl = src.cl.Clone()
 	dst.now = src.now
 	dst.next = src.next
-	dst.idxBase = 0
 	dst.met = src.met
 
-	dst.pendings = append([]pending(nil), src.pendings...)
-	dst.compl.items = append([]running(nil), src.compl.items...)
-	dst.waits = append([]float64(nil), src.waits...)
-	dst.promised = append([]float64(nil), src.promised...)
+	// Queues and running records address the arena by slot, so it and its
+	// free list copy verbatim: the fork's cost is what is in flight, plus
+	// the log's waits and promises.
+	dst.slots = slices.Clone(src.slots)
+	dst.freeSlots = slices.Clone(src.freeSlots)
+	dst.compl.items = slices.Clone(src.compl.items)
+	rows := &src.rows.pages[0]
+	dst.rows.single(rowPage{jobs: rows.jobs, waits: slices.Clone(rows.waits), promised: slices.Clone(rows.promised)})
 	dst.timeline = append(make([]QueueSample, 0, cap(src.timeline)), src.timeline...)
 	dst.touched = make([]bool, len(src.parts))
 
 	dst.parts = make([]partState, len(src.parts))
 	for p := range src.parts {
 		sp, dp := &src.parts[p], &dst.parts[p]
-		// Queue: mirrors copy verbatim; entry pointers re-anchor into the
-		// cloned arena by arrival index.
-		dp.q.head = sp.q.head
-		dp.q.buf = make([]*pending, len(sp.q.buf))
-		dp.q.stamps = append([]uint64(nil), sp.q.stamps...)
-		dp.q.procs = append([]int32(nil), sp.q.procs...)
-		for i := sp.q.head; i < len(sp.q.buf); i++ {
-			dp.q.buf[i] = &dst.pendings[sp.q.buf[i].idx]
-		}
+		// Queue: the live region's slots and mirrors copy verbatim.
+		stamps, procs := sp.q.liveMirrors()
+		dp.q.buf = slices.Clone(sp.q.live())
+		dp.q.stamps = slices.Clone(stamps)
+		dp.q.procs = slices.Clone(procs)
 		dp.avail.ends = append([]float64(nil), sp.avail.ends[sp.avail.head:]...)
 		dp.avail.procs = append([]int(nil), sp.avail.procs[sp.avail.head:]...)
 		dp.avail.head = 0

@@ -120,6 +120,64 @@ func TestCheckpointForkMatchesColdRun(t *testing.T) {
 	}
 }
 
+// TestForkCopiesOnlyInFlight pins what a fork copies: a fork of a
+// checkpoint paused deep into a 4k-job log holds no more live arena slots
+// than jobs queued plus running — the arena is sized by what is in flight,
+// not by the log — and its queues equal the source's element for element
+// (slots and scan mirrors), with nothing re-anchored. The fork must still
+// finish like a cold run.
+func TestForkCopiesOnlyInFlight(t *testing.T) {
+	tr := randomTrace(17, 4000, 64)
+	for i := range tr.Jobs {
+		tr.Jobs[i].Submit *= 1.6 // loaded, not saturated: the queue stays bounded
+	}
+	span := tr.Jobs[len(tr.Jobs)-1].Submit
+	for name, opt := range map[string]Options{
+		"FCFS+EASY":          {Policy: FCFS, Backfill: EASY},
+		"WFP3+Relaxed":       {Policy: WFP3, Backfill: Relaxed},
+		"SJF+EASY/ckptFault": {Policy: SJF, Backfill: EASY, Faults: ckFaultScenarios(span)["interrupt-checkpoint"]},
+	} {
+		t.Run(name, func(t *testing.T) {
+			want, err := Run(tr, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ck, err := RunToCheckpoint(tr, opt, tr.Jobs[3500].Submit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := ck.Fork()
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, dst := &ck.s, &f.s
+			inFlight := dst.queued + dst.compl.len()
+			if live := len(dst.slots) - len(dst.freeSlots); live > inFlight {
+				t.Errorf("fork holds %d live slots for %d jobs in flight", live, inFlight)
+			}
+			if len(dst.slots) >= len(tr.Jobs)/4 {
+				t.Errorf("arena of %d slots for a %d-job log: sized by the log, not by what is in flight", len(dst.slots), len(tr.Jobs))
+			}
+			if inFlight == 0 {
+				t.Fatal("nothing in flight at the pause: the pin checks nothing")
+			}
+			for p := range src.parts {
+				sq, dq := &src.parts[p].q, &dst.parts[p].q
+				ss, sp := sq.liveMirrors()
+				ds, dp := dq.liveMirrors()
+				if !slices.Equal(sq.live(), dq.live()) || !slices.Equal(ss, ds) || !slices.Equal(sp, dp) {
+					t.Errorf("partition %d: fork queue %v differs from source %v", p, dq.live(), sq.live())
+				}
+			}
+			got, err := f.Run(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ckSameResult(t, name, got, want)
+		})
+	}
+}
+
 // TestCheckpointForkWithAvailHead: without walltimes the planned end is the
 // actual end, so completions retire the front of each partition's AvailSet
 // and leave dead space before its head. Forks taken while head > 0 (the

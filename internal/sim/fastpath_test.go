@@ -14,7 +14,7 @@ import (
 func TestInsertSortedMatchesFullSort(t *testing.T) {
 	for _, pol := range []Policy{FCFS, SJF, LJF, SAF, F1, F2, F3} {
 		s := &simulator{opt: Options{Policy: pol}, parts: make([]partState, 1)}
-		jobs := []*pending{
+		s.slots = []pending{
 			{idx: 0, submit: 10, reqTime: 100, procs: 4},
 			{idx: 1, submit: 5, reqTime: 1000, procs: 1},
 			{idx: 2, submit: 20, reqTime: 10, procs: 64},
@@ -22,10 +22,15 @@ func TestInsertSortedMatchesFullSort(t *testing.T) {
 			{idx: 4, submit: 1, reqTime: 50, procs: 8},
 			{idx: 5, submit: 30, reqTime: 500, procs: 2},
 		}
-		for _, j := range jobs {
-			s.insertSorted(0, j)
+		var jobs []*pending
+		for k := range s.slots {
+			s.insertSorted(0, int32(k), &s.slots[k])
+			jobs = append(jobs, &s.slots[k])
 		}
-		got := append([]*pending(nil), s.parts[0].q.live()...)
+		var got []*pending
+		for _, k := range s.parts[0].q.live() {
+			got = append(got, &s.slots[k])
+		}
 		want := append([]*pending(nil), jobs...)
 		sort.SliceStable(want, func(a, b int) bool { return s.less(want[a], want[b], 0) })
 		for i := range want {

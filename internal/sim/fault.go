@@ -316,7 +316,7 @@ func (s *simulator) interruptVictims(p, need int, t float64, touched []bool) err
 // completion-heap entry.
 func (s *simulator) faultInterrupted(r *running, t float64, touched []bool) {
 	f := s.flt
-	j := &s.pendings[r.idx]
+	j := &s.slots[r.slot]
 	part, procs := int(r.part), int(r.procs)
 	elapsed := t - f.lastStart[r.idx]
 	pf := float64(procs)
@@ -324,7 +324,7 @@ func (s *simulator) faultInterrupted(r *running, t float64, touched []bool) {
 	s.met.Interrupts++
 	if s.obsv != nil {
 		s.obsv.Observe(obs.Event{
-			Kind: obs.FaultJobInterrupt, Time: t, Job: s.jobs[r.idx].ID,
+			Kind: obs.FaultJobInterrupt, Time: t, Job: s.job(int(r.idx)).ID,
 			Part: part, Procs: procs, Detail: elapsed,
 		})
 	}
@@ -340,6 +340,7 @@ func (s *simulator) faultInterrupted(r *running, t float64, touched []bool) {
 		f.dead[r.idx] = true
 		f.failed++
 		s.met.FaultFailed++
+		s.freeSlot(r.slot)
 		return
 	}
 	f.attempts[r.idx]++
@@ -361,14 +362,15 @@ func (s *simulator) faultInterrupted(r *running, t float64, touched []bool) {
 	// position under static policies, re-sort marker under dynamic ones.
 	// The scan stamp is cleared — a stale stamp could match a live scan
 	// generation and skip the job forever. The job keeps its original
-	// submit time (queue priority) and its first promise.
+	// submit time (queue priority) and its first promise, and keeps its
+	// arena slot (freed only at completion or terminal failure).
 	j.scanStamp = 0
-	s.enqueue(part, j)
+	s.enqueue(part, r.slot)
 	s.queued++
 	touched[part] = true
 	if s.obsv != nil {
 		s.obsv.Observe(obs.Event{
-			Kind: obs.FaultJobRequeue, Time: t, Job: s.jobs[r.idx].ID,
+			Kind: obs.FaultJobRequeue, Time: t, Job: s.job(int(r.idx)).ID,
 			Part: part, Procs: procs, Detail: j.run,
 		})
 	}

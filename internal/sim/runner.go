@@ -16,7 +16,7 @@ import (
 // behind every many-run workload (policy x backfill matrices, relaxation
 // sweeps, ES fitness populations, figure regeneration). A fresh simulation
 // allocates its completion heap, waiting queues, AvailSets, scratch
-// profiles, per-job pending arena, and cluster model from scratch; a Runner
+// profiles, in-flight arena, row storage, and cluster model from scratch; a Runner
 // keeps all of that scratch state between runs and resets it instead, so a
 // sweep of N runs over the same trace pays the simulator's working-set
 // allocation once instead of N times.
@@ -97,6 +97,8 @@ func (r *Runner) RunContext(ctx context.Context, tr *trace.Trace, opt Options) (
 	// trace, context, and callbacks must not outlive the run.
 	defer func() {
 		s.jobs = nil
+		clear(s.rows.pages) // the page aliases the trace and the Result's promises
+		s.rows.pages = s.rows.pages[:0]
 		s.ctx = nil
 		s.done = nil
 		s.obsv = nil
@@ -183,29 +185,25 @@ func (s *simulator) reset(ctx context.Context, tr *trace.Trace, opt Options, cl 
 	n := len(tr.Jobs)
 	s.resetCore(ctx, opt, cl, nParts)
 	// The simulator never writes job records (waits live in a separate
-	// array), so the run can schedule straight off the caller's slice; only
-	// result() copies jobs, into the escaping Result.
+	// array), so the run can schedule straight off the caller's slice: the
+	// run's one row page aliases it, and only result() copies jobs, into the
+	// escaping Result.
 	s.jobs = tr.Jobs
-	if cap(s.pendings) >= n {
-		// Entries are fully overwritten at arrival; no zeroing needed.
-		s.pendings = s.pendings[:n]
-	} else {
-		s.pendings = make([]pending, n)
-	}
-	if cap(s.waits) >= n {
+	if cap(s.matWaits) >= n {
 		// Every started job overwrites its wait, and a Result is only
 		// assembled once all jobs started.
-		s.waits = s.waits[:n]
+		s.matWaits = s.matWaits[:n]
 	} else {
-		s.waits = make([]float64, n)
+		s.matWaits = make([]float64, n)
 	}
 	// promised and timeline escape into the Result (PromisedStart,
 	// QueueTimeline), so they are the two per-run allocations that reuse
 	// cannot amortize.
-	s.promised = make([]float64, n)
-	for i := range s.promised {
-		s.promised[i] = -1
+	promised := make([]float64, n)
+	for i := range promised {
+		promised[i] = -1
 	}
+	s.rows.single(rowPage{jobs: tr.Jobs, waits: s.matWaits, promised: promised})
 	timelineCap := 2 * n
 	if timelineCap > 2*maxTimelineSamples {
 		timelineCap = 2 * maxTimelineSamples
@@ -214,10 +212,9 @@ func (s *simulator) reset(ctx context.Context, tr *trace.Trace, opt Options, cl 
 }
 
 // resetCore reinitializes the state shared by the materialized and streaming
-// paths: everything except the per-job arrays (jobs, pendings, waits,
-// promised) and the timeline, whose sizing and ownership differ between the
-// two (reset sizes them to the trace; resetStream in stream.go turns them
-// into an empty sliding window).
+// paths: everything except the per-arrival rows and the timeline, whose
+// sizing and ownership differ between the two (reset makes the trace one
+// row page; resetStream in stream.go starts an empty paged window).
 func (s *simulator) resetCore(ctx context.Context, opt Options, cl *cluster.Cluster, nParts int) {
 	s.opt = opt
 	s.cl = cl
@@ -235,11 +232,12 @@ func (s *simulator) resetCore(ctx context.Context, opt Options, cl *cluster.Clus
 		s.touched = make([]bool, nParts)
 	}
 	s.compl.items = s.compl.items[:0]
+	s.slots = s.slots[:0]
+	s.freeSlots = s.freeSlots[:0]
 	s.now = 0
 	s.next = 0
 	s.flt = nil // armed separately (setupFaults) only for enabled configs
 	s.in = nil  // armed separately (resetStream) only for streaming runs
-	s.idxBase = 0
 	s.ctx = ctx
 	s.done = ctx.Done()
 	s.obsv = opt.Observer

@@ -160,10 +160,10 @@ func TestStreamWindowIsBounded(t *testing.T) {
 	}
 }
 
-// TestStreamCompaction: a long run must slide the window through the
-// retained arrays many times (idxBase advances), still matching the
-// materialized run exactly. The bursty trace also exercises the growth
-// path of winMakeRoom.
+// TestStreamCompaction: a long run must slide the window along its pages,
+// recycling fully retired ones, still matching the materialized run
+// exactly. The bursty trace also grows the window by several pages at
+// once.
 func TestStreamCompaction(t *testing.T) {
 	tr := streamTrace(3000)
 	want, err := Run(tr, Options{Policy: SJF, Backfill: EASY})
