@@ -53,10 +53,7 @@ type runConfig struct {
 	stream  bool   // windowed out-of-core replay (O(active jobs) memory)
 	rowsOut string // per-job result rows as JSONL (streaming mode)
 
-	faults       string  // fault-scenario spec (fault.ParseSpec format)
-	faultSeed    uint64  // overrides the spec's seed when nonzero
-	retryCap     int     // overrides the spec's retry cap when >= 0
-	ckptInterval float64 // overrides the spec's checkpoint interval when > 0
+	faults string // fault-scenario spec (fault.ParseSpec format)
 
 	out   string
 	bench int
@@ -87,9 +84,6 @@ func main() {
 	flag.BoolVar(&cfg.stream, "stream", false, "replay the trace out-of-core: jobs flow through a sliding window, memory stays O(active jobs), results are identical")
 	flag.StringVar(&cfg.rowsOut, "rows-out", "", "with -stream, write per-job result rows as JSONL to this file as they retire")
 	flag.StringVar(&cfg.faults, "faults", "", "fault-injection scenario, e.g. 'mtbf=172800,mttr=7200,frac=0.25,recovery=requeue,retry=2' or 'down=0:3600:7200:512' (off = none)")
-	flag.Uint64Var(&cfg.faultSeed, "fault-seed", 0, "seed for fault draws (0 = use the -faults spec's seed)")
-	flag.IntVar(&cfg.retryCap, "retry-cap", -1, "max requeues per interrupted job (-1 = use the -faults spec's cap)")
-	flag.Float64Var(&cfg.ckptInterval, "checkpoint-interval", 0, "checkpoint interval in seconds for recovery=checkpoint (0 = use the -faults spec's interval)")
 	flag.StringVar(&cfg.out, "o", "", "write the re-scheduled trace (with simulated waits) as SWF to this file")
 	flag.IntVar(&cfg.bench, "bench", 0, "repeat the simulation N times and report per-run timing (hot-path diagnosis without a Go test)")
 	flag.StringVar(&cfg.eventsOut, "events-out", "", "write the decision-event stream as JSONL to this file")
@@ -460,23 +454,12 @@ func runStream(ctx context.Context, cfg runConfig, fcfg *fault.Config) error {
 	return nil
 }
 
-// faultConfig assembles the fault-injection scenario from the CLI flags:
-// the -faults spec parsed first, then the dedicated -fault-seed/-retry-cap/
-// -checkpoint-interval overrides applied on top. Returns nil when the
-// resulting scenario injects nothing (the simulator's zero-fault path).
+// faultConfig parses the -faults spec. Returns nil when the scenario
+// injects nothing (the simulator's zero-fault path).
 func (cfg *runConfig) faultConfig() (*fault.Config, error) {
 	fc, err := fault.ParseSpec(cfg.faults)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.faultSeed != 0 {
-		fc.Seed = cfg.faultSeed
-	}
-	if cfg.retryCap >= 0 {
-		fc.RetryCap = cfg.retryCap
-	}
-	if cfg.ckptInterval > 0 {
-		fc.CheckpointInterval = cfg.ckptInterval
 	}
 	if err := fc.Validate(0); err != nil {
 		return nil, err
@@ -516,8 +499,10 @@ func runBench(ctx context.Context, tr *trace.Trace, opt sim.Options, n int) erro
 const oracleJobLimit = 2000
 
 // runAudit verifies a finished run: the invariant auditor and the
-// decision-stream auditor always, plus the differential oracle comparison
-// when the trace is small enough for O(n²).
+// decision-stream auditor always, plus check.Verify (the oracle comparison
+// and the exact engine rows) when the trace is small enough for O(n²).
+// Verify reruns the simulator on its own recorders, so the CLI's observers
+// and metrics see only the measured run.
 func runAudit(tr *trace.Trace, opt sim.Options, res *sim.Result, events []obs.Event) error {
 	if opt.Faults.Enabled() {
 		// The schedule auditor reconstructs one uninterrupted start per job,
@@ -541,16 +526,10 @@ func runAudit(tr *trace.Trace, opt sim.Options, res *sim.Result, events []obs.Ev
 			tr.Len(), oracleJobLimit)
 		return nil
 	}
-	if opt.Faults.Enabled() {
-		// Verify re-runs the simulator; detach the CLI's observer stack so
-		// the verification pass does not double-write -events-out streams.
-		opt.Observer = nil
-		opt.Metrics = nil
-	}
 	if err := check.Verify(tr, opt); err != nil {
 		return fmt.Errorf("differential check: %w", err)
 	}
-	fmt.Println("audit: schedule matches reference oracle exactly")
+	fmt.Println("audit: schedule matches the reference oracle and every engine path exactly")
 	return nil
 }
 

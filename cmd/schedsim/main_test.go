@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -162,6 +163,37 @@ func TestRunGoldenEvents(t *testing.T) {
 	}
 }
 
+// TestRunAuditKeepsEventsFile: -audit verifies the run by rerunning the
+// simulator, and none of those reruns may reach the CLI's observers — the
+// -events-out file must be byte-identical with and without -audit.
+func TestRunAuditKeepsEventsFile(t *testing.T) {
+	quiet(t)
+	dir := t.TempDir()
+	events := func(audit bool) []byte {
+		path := filepath.Join(dir, fmt.Sprintf("events-%v.jsonl", audit))
+		err := run(runConfig{
+			system: "Theta", days: 1, seed: 1, policy: "SJF", backfill: "relaxed", relax: 0.1,
+			audit: audit, eventsOut: path, progress: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	plain, audited := events(false), events(true)
+	if len(plain) == 0 {
+		t.Fatal("no events written")
+	}
+	if !bytes.Equal(audited, plain) {
+		t.Fatalf("-audit changed the events file: %d lines vs %d without",
+			bytes.Count(audited, []byte("\n")), bytes.Count(plain, []byte("\n")))
+	}
+}
+
 // TestRunTimeout: an absurdly short -timeout must abort the run with a
 // deadline error instead of completing.
 func TestRunTimeout(t *testing.T) {
@@ -207,8 +239,7 @@ func TestRunWithFaults(t *testing.T) {
 	quiet(t)
 	err := run(runConfig{
 		system: "Theta", days: 0.3, seed: 1, policy: "FCFS", backfill: "easy", relax: 0.1,
-		faults:   "mtbf=20000,mttr=4000,frac=0.3,pint=0.05,recovery=requeue,retry=2",
-		retryCap: -1, audit: true,
+		faults: "mtbf=20000,mttr=4000,frac=0.3,pint=0.05,recovery=requeue,retry=2", audit: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +253,7 @@ func TestRunDegradedSweep(t *testing.T) {
 	err := run(runConfig{
 		system: "Theta", days: 0.25, seed: 1, policy: "FCFS", backfill: "easy", relax: 0.1,
 		degraded: true, faults: "pint=0.01,recovery=checkpoint,ckpt=600",
-		retryCap: -1, parallel: 2,
+		parallel: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +262,7 @@ func TestRunDegradedSweep(t *testing.T) {
 
 func TestRunRejectsBadFaultFlags(t *testing.T) {
 	quiet(t)
-	base := runConfig{system: "Theta", days: 0.25, seed: 1, policy: "FCFS", backfill: "easy", relax: 0.1, retryCap: -1}
+	base := runConfig{system: "Theta", days: 0.25, seed: 1, policy: "FCFS", backfill: "easy", relax: 0.1}
 	bad := base
 	bad.faults = "bogus"
 	if err := run(bad); err == nil {
@@ -248,32 +279,6 @@ func TestRunRejectsBadFaultFlags(t *testing.T) {
 	bad.faults = "pint=0.1,recovery=checkpoint" // no interval
 	if err := run(bad); err == nil {
 		t.Fatal("checkpoint recovery without an interval accepted")
-	}
-}
-
-// TestFaultConfigOverrides: the dedicated flags win over the -faults spec.
-func TestFaultConfigOverrides(t *testing.T) {
-	cfg := runConfig{
-		faults:    "pint=0.1,recovery=requeue,retry=5,seed=1",
-		faultSeed: 9, retryCap: 2, ckptInterval: 60,
-	}
-	fc, err := cfg.faultConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fc.Seed != 9 || fc.RetryCap != 2 || fc.CheckpointInterval != 60 {
-		t.Fatalf("overrides not applied: %+v", fc)
-	}
-	cfg = runConfig{faults: "pint=0.1,retry=5,seed=1", retryCap: -1}
-	if fc, err = cfg.faultConfig(); err != nil {
-		t.Fatal(err)
-	}
-	if fc.Seed != 1 || fc.RetryCap != 5 {
-		t.Fatalf("spec values clobbered without overrides: %+v", fc)
-	}
-	cfg = runConfig{retryCap: -1}
-	if fc, err = cfg.faultConfig(); err != nil || fc != nil {
-		t.Fatalf("empty spec should yield nil config, got %+v, %v", fc, err)
 	}
 }
 

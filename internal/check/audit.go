@@ -93,12 +93,7 @@ func Audit(tr *trace.Trace, opt sim.Options, events []obs.Event, res *sim.Result
 		r.addf("shape", "PromisedStart has %d entries, want %d", len(res.PromisedStart), len(tr.Jobs))
 		return r
 	}
-	if opt.BsldTau <= 0 {
-		opt.BsldTau = 10 // sim.Run's default
-	}
-	if opt.RelaxFactor == 0 && (opt.Backfill == sim.Relaxed || opt.Backfill == sim.AdaptiveRelaxed) {
-		opt.RelaxFactor = 0.10
-	}
+	opt = opt.WithDefaults()
 	r.JobsChecked = len(tr.Jobs)
 
 	caps := PartitionCapacities(tr.System)

@@ -21,7 +21,7 @@ import (
 // streamVsOracle asserts the recorded decision stream reproduces the
 // oracle's schedule: every job's first start at the oracle's Submit+Wait,
 // every reservation event promising the oracle's promise, and exactly the
-// oracle's number of backfills. compare() already pins the Result against
+// oracle's number of backfills. compareOracle already pins the Result against
 // the oracle; this pins the event stream — the trace's external interface —
 // to the same reference.
 func streamVsOracle(t *testing.T, label string, tr *trace.Trace, events []obs.Event, ref *sim.Result) {
@@ -116,7 +116,7 @@ func TestConservativeStressSweep(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: oracle: %v", label, err)
 					}
-					if err := compare(res, ref).Err(); err != nil {
+					if err := compareOracle(res, ref); err != nil {
 						t.Errorf("%s: %v", label, err)
 					}
 					if err := AuditStream(tr, opt, rec.Events, res).Err(); err != nil {

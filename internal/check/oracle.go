@@ -9,9 +9,10 @@
 //   - a schedule auditor (Audit): takes any simulator output and checks hard
 //     invariants (resource conservation, causality, walltime kills, promise
 //     bounds, recomputable metrics) without re-running the scheduler;
-//   - a differential harness (Diff, Verify): runs the optimized simulator and
-//     the oracle on the same workload and asserts the schedules match exactly,
-//     then audits the optimized output.
+//   - a differential harness (Verify): audits the optimized simulator's
+//     output, asserts its schedule matches the oracle's exactly, and runs
+//     every other engine path (streamed, checkpoint-forked) through one exact
+//     comparison against it.
 //
 // The oracle shares only the priority *formulas* with internal/sim (via
 // sim.Policy.Score and sim.FairshareState) so that scores are bit-identical;
@@ -83,15 +84,9 @@ type oracle struct {
 // Oracle schedules tr under opt with the naive reference implementation and
 // returns the same Result shape as sim.Run (QueueTimeline is not produced).
 // For any deterministic option set, sim.Run and Oracle must agree exactly on
-// every job's start time; Diff asserts this.
+// every job's start time; Verify asserts this.
 func Oracle(tr *trace.Trace, opt sim.Options) (*sim.Result, error) {
-	// Defaults mirror sim.Run so both sides plan with identical numbers.
-	if opt.BsldTau <= 0 {
-		opt.BsldTau = 10
-	}
-	if opt.RelaxFactor == 0 && (opt.Backfill == sim.Relaxed || opt.Backfill == sim.AdaptiveRelaxed) {
-		opt.RelaxFactor = 0.10
-	}
+	opt = opt.WithDefaults() // as sim.Run does, so both sides plan with identical numbers
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}

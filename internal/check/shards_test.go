@@ -2,7 +2,6 @@ package check
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"crosssched/internal/fault"
@@ -14,10 +13,8 @@ import (
 
 // verifyShardsIgnored pins that the deprecated sim.Options.Shards field
 // changes nothing. The materialized run with opt.Shards = shards must equal
-// the run with the field unset exactly: every row and promise, every
-// aggregate, the queue timeline and the decision-event stream. For
-// fault-free options (the only ones streaming accepts) the streamed run with
-// the field set must also reproduce the materialized one float for float.
+// the run with the field unset exactly (the whole Result and the decision
+// events), and every engine row run with the field set must reproduce it.
 func verifyShardsIgnored(tr *trace.Trace, opt sim.Options, shards int) error {
 	base, set := opt, opt
 	base.Shards, set.Shards = 0, shards
@@ -32,26 +29,10 @@ func verifyShardsIgnored(tr *trace.Trace, opt sim.Options, shards int) error {
 	if err != nil {
 		return fmt.Errorf("check: simulator with Shards=%d: %w", shards, err)
 	}
-	if len(got.Jobs) != len(want.Jobs) {
-		return fmt.Errorf("Shards=%d: %d jobs vs %d", shards, len(got.Jobs), len(want.Jobs))
+	if err := sameRun(got, setRec.Events, want, baseRec.Events); err != nil {
+		return fmt.Errorf("Shards=%d differs from the unset run: %w", shards, err)
 	}
-	for i := range want.Jobs {
-		if got.Jobs[i] != want.Jobs[i] || got.PromisedStart[i] != want.PromisedStart[i] {
-			return fmt.Errorf("Shards=%d: row %d %+v (promise %v) vs %+v (promise %v)",
-				shards, i, got.Jobs[i], got.PromisedStart[i], want.Jobs[i], want.PromisedStart[i])
-		}
-	}
-	if !reflect.DeepEqual(got, want) {
-		return fmt.Errorf("Shards=%d: aggregates or queue timeline differ from the unset run", shards)
-	}
-	if !reflect.DeepEqual(setRec.Events, baseRec.Events) {
-		return fmt.Errorf("Shards=%d: decision events differ from the unset run (%d vs %d events)",
-			shards, len(setRec.Events), len(baseRec.Events))
-	}
-	if opt.Faults.Enabled() {
-		return nil
-	}
-	return VerifyStream(tr, set)
+	return checkEngines(tr, set, got, setRec.Events)
 }
 
 // TestShardedDifferentialSweep: for every policy x backfill combination,

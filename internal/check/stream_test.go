@@ -9,34 +9,6 @@ import (
 	"crosssched/internal/synth"
 )
 
-// TestStreamAuditSweep: the emitted decision stream must satisfy the
-// stream auditor for every policy x backfill combination on the
-// verification workloads — the trace's independent consumer.
-func TestStreamAuditSweep(t *testing.T) {
-	days := 0.25
-	if testing.Short() {
-		days = 0.1
-	}
-	for _, p := range synth.VerifyProfiles(days) {
-		p := p
-		t.Run(p.Sys.Name, func(t *testing.T) {
-			t.Parallel()
-			tr := verifyTrace(t, p, 17)
-			for _, opt := range Combos(0.15) {
-				rec := &obs.Recorder{}
-				opt.Observer = rec
-				res, err := sim.Run(tr, opt)
-				if err != nil {
-					t.Fatalf("%s + %s: %v", opt.Policy, opt.Backfill, err)
-				}
-				if err := AuditStream(tr, opt, rec.Events, res).Err(); err != nil {
-					t.Errorf("%s + %s: %v", opt.Policy, opt.Backfill, err)
-				}
-			}
-		})
-	}
-}
-
 // TestStreamAuditDetectsTampering corrupts a genuine stream in targeted
 // ways and checks the auditor notices each one.
 func TestStreamAuditDetectsTampering(t *testing.T) {

@@ -59,12 +59,7 @@ func RunToCheckpoint(tr *trace.Trace, opt Options, pauseAt float64) (*Checkpoint
 	opt.Observer = nil // forks inherit opt; only the checkpoint's own run is tapped
 	opt.Metrics = nil
 	opt.Faults = opt.Faults.Clone()
-	if opt.BsldTau <= 0 {
-		opt.BsldTau = 10
-	}
-	if opt.RelaxFactor == 0 && (opt.Backfill == Relaxed || opt.Backfill == AdaptiveRelaxed) {
-		opt.RelaxFactor = 0.10
-	}
+	opt = opt.WithDefaults()
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -49,36 +50,26 @@ func ckTrace(t *testing.T) *trace.Trace {
 	return tr
 }
 
-// sameResult asserts exact equality of two results, every field the
-// simulator promises deterministic.
+// ckSameResult asserts two results are identical: every field of Result,
+// slices element by element, so a field added later is compared too.
 func ckSameResult(t *testing.T, tag string, got, want *Result) {
 	t.Helper()
-	if len(got.Jobs) != len(want.Jobs) {
-		t.Fatalf("%s: %d jobs vs %d", tag, len(got.Jobs), len(want.Jobs))
-	}
-	for i := range want.Jobs {
-		if got.Jobs[i] != want.Jobs[i] {
-			t.Fatalf("%s: job %d = %+v, want %+v", tag, i, got.Jobs[i], want.Jobs[i])
+	g, w := reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()
+	for i := 0; i < w.NumField(); i++ {
+		name, gf, wf := w.Type().Field(i).Name, g.Field(i), w.Field(i)
+		if wf.Kind() != reflect.Slice {
+			if !gf.Equal(wf) {
+				t.Fatalf("%s: %s = %v, want %v", tag, name, gf, wf)
+			}
+			continue
 		}
-		if got.PromisedStart[i] != want.PromisedStart[i] {
-			t.Fatalf("%s: promise %d = %v, want %v", tag, i, got.PromisedStart[i], want.PromisedStart[i])
+		if gf.Len() != wf.Len() {
+			t.Fatalf("%s: %s has %d entries, want %d", tag, name, gf.Len(), wf.Len())
 		}
-	}
-	if got.AvgWait != want.AvgWait || got.AvgBsld != want.AvgBsld ||
-		got.Utilization != want.Utilization || got.Makespan != want.Makespan ||
-		got.Violations != want.Violations || got.ViolationDelay != want.ViolationDelay ||
-		got.Backfilled != want.Backfilled || got.MaxQueueLen != want.MaxQueueLen ||
-		got.Interrupted != want.Interrupted || got.Requeued != want.Requeued ||
-		got.FaultFailed != want.FaultFailed || got.GoodputCoreSeconds != want.GoodputCoreSeconds ||
-		got.WastedCoreSeconds != want.WastedCoreSeconds {
-		t.Fatalf("%s: aggregates %+v, want %+v", tag, got, want)
-	}
-	if len(got.QueueTimeline) != len(want.QueueTimeline) {
-		t.Fatalf("%s: timeline %d vs %d", tag, len(got.QueueTimeline), len(want.QueueTimeline))
-	}
-	for i := range want.QueueTimeline {
-		if got.QueueTimeline[i] != want.QueueTimeline[i] {
-			t.Fatalf("%s: timeline[%d] %+v vs %+v", tag, i, got.QueueTimeline[i], want.QueueTimeline[i])
+		for k := 0; k < wf.Len(); k++ {
+			if !gf.Index(k).Equal(wf.Index(k)) {
+				t.Fatalf("%s: %s[%d] = %+v, want %+v", tag, name, k, gf.Index(k), wf.Index(k))
+			}
 		}
 	}
 }

@@ -67,12 +67,7 @@ func (r *Runner) RunContext(ctx context.Context, tr *trace.Trace, opt Options) (
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if opt.BsldTau <= 0 {
-		opt.BsldTau = 10
-	}
-	if opt.RelaxFactor == 0 && (opt.Backfill == Relaxed || opt.Backfill == AdaptiveRelaxed) {
-		opt.RelaxFactor = 0.10
-	}
+	opt = opt.WithDefaults()
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}

@@ -77,6 +77,20 @@ type Options struct {
 	Faults *fault.Config
 }
 
+// WithDefaults returns opt with its unset defaults decided: BsldTau 10, and
+// RelaxFactor 0.10 for the relaxed backfill kinds. Every run applies it, as
+// do the check oracle and auditors, so all of them plan and score with
+// identical numbers.
+func (opt Options) WithDefaults() Options {
+	if opt.BsldTau <= 0 {
+		opt.BsldTau = 10
+	}
+	if opt.RelaxFactor == 0 && (opt.Backfill == Relaxed || opt.Backfill == AdaptiveRelaxed) {
+		opt.RelaxFactor = 0.10
+	}
+	return opt
+}
+
 // Result holds the outcome of a simulation.
 type Result struct {
 	// Jobs is a copy of the input jobs with Wait filled in (submit order).

@@ -62,12 +62,7 @@ func (r *Runner) RunStreamContext(ctx context.Context, src trace.Stream, opt Opt
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if opt.BsldTau <= 0 {
-		opt.BsldTau = 10
-	}
-	if opt.RelaxFactor == 0 && (opt.Backfill == Relaxed || opt.Backfill == AdaptiveRelaxed) {
-		opt.RelaxFactor = 0.10
-	}
+	opt = opt.WithDefaults()
 	if opt.Faults.Enabled() {
 		return nil, fmt.Errorf("sim: streaming runs do not support fault injection (per-job fault state and the fault horizon need the whole trace); materialize with trace.Collect and use RunContext")
 	}

@@ -55,8 +55,9 @@ func (s *errStream) Next() (trace.Job, error) {
 }
 
 // TestStreamMatchesRun: on the same trace, RunStream must reproduce the
-// materialized run float for float — Result aggregates, per-job rows
-// (Wait, Promised), and the decision-event stream. The exhaustive policy x
+// materialized run float for float — the whole Result, with the retired
+// rows standing in for Jobs and PromisedStart, and the decision-event
+// stream. The exhaustive policy x
 // backfill sweep lives in internal/check; this pins the core combos at the
 // sim layer.
 func TestStreamMatchesRun(t *testing.T) {
@@ -77,42 +78,21 @@ func TestStreamMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: materialized: %v", name, err)
 		}
-		var rows []StreamRow
+		var jobs []trace.Job
+		var promised []float64
 		got, err := RunStream(trace.NewSliceStream(tr), strOpt, func(r StreamRow) error {
-			rows = append(rows, r)
+			jobs = append(jobs, r.Job)
+			promised = append(promised, r.Promised)
 			return nil
 		})
 		if err != nil {
 			t.Fatalf("%s: stream: %v", name, err)
 		}
-		if got.AvgWait != want.AvgWait || got.AvgBsld != want.AvgBsld ||
-			got.Utilization != want.Utilization || got.Makespan != want.Makespan ||
-			got.Violations != want.Violations || got.ViolationDelay != want.ViolationDelay ||
-			got.Backfilled != want.Backfilled || got.MaxQueueLen != want.MaxQueueLen {
-			t.Fatalf("%s: aggregates differ:\n  stream: %+v\n  mat:    %+v", name, got, want)
-		}
-		if len(got.QueueTimeline) != len(want.QueueTimeline) {
-			t.Fatalf("%s: timeline length %d want %d", name, len(got.QueueTimeline), len(want.QueueTimeline))
-		}
-		for i := range got.QueueTimeline {
-			if got.QueueTimeline[i] != want.QueueTimeline[i] {
-				t.Fatalf("%s: timeline[%d] %+v want %+v", name, i, got.QueueTimeline[i], want.QueueTimeline[i])
-			}
-		}
 		if got.Jobs != nil || got.PromisedStart != nil {
 			t.Fatalf("%s: streaming Result must not materialize jobs", name)
 		}
-		if len(rows) != len(want.Jobs) {
-			t.Fatalf("%s: %d rows want %d", name, len(rows), len(want.Jobs))
-		}
-		for i, r := range rows {
-			if r.Job != want.Jobs[i] {
-				t.Fatalf("%s: row %d job %+v want %+v", name, i, r.Job, want.Jobs[i])
-			}
-			if r.Promised != want.PromisedStart[i] {
-				t.Fatalf("%s: row %d promised %v want %v", name, i, r.Promised, want.PromisedStart[i])
-			}
-		}
+		got.Jobs, got.PromisedStart = jobs, promised
+		ckSameResult(t, name, got, want)
 		if len(strRec.Events) != len(matRec.Events) {
 			t.Fatalf("%s: %d events want %d", name, len(strRec.Events), len(matRec.Events))
 		}

@@ -392,7 +392,7 @@ func configKey(opt sim.Options) string {
 
 // score aggregates one replay over the pending set.
 func score(c Candidate, res *sim.Result, pending []bool, nPending int) Outcome {
-	const tau = 10 // sim's default BsldTau
+	tau := sim.Options{}.WithDefaults().BsldTau // the twin never sets BsldTau
 	var waitSum, bsldSum float64
 	for i := range pending {
 		if !pending[i] {
