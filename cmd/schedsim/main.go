@@ -493,17 +493,26 @@ func runBench(ctx context.Context, tr *trace.Trace, opt sim.Options, n int) erro
 }
 
 // oracleJobLimit bounds the traces we differential-test against the O(n²)
-// reference oracle; above it -audit still runs the invariant auditor, which
-// is near-linear. 2000 keeps the comparison under ~1 minute even for
+// reference oracle; above it -audit still runs both auditors, which are
+// near-linear. 2000 keeps the comparison under ~1 minute even for
 // conservative backfilling, the oracle's slowest planner.
 const oracleJobLimit = 2000
 
-// runAudit verifies a finished run: the invariant auditor and the
-// decision-stream auditor always, plus check.Verify (the oracle comparison
-// and the exact engine rows) when the trace is small enough for O(n²).
-// Verify reruns the simulator on its own recorders, so the CLI's observers
-// and metrics see only the measured run.
+// runAudit verifies a finished run. A trace small enough for O(n²) goes
+// through check.Verify: both auditors, the oracle comparison and the exact
+// engine rows, on reruns that record into Verify's own observers, so the
+// CLI's observers and metrics see only the measured run. A larger trace
+// gets both auditors on the measured run's decision stream.
 func runAudit(tr *trace.Trace, opt sim.Options, res *sim.Result, events []obs.Event) error {
+	if tr.Len() <= oracleJobLimit {
+		if err := check.Verify(tr, opt); err != nil {
+			return fmt.Errorf("audit: %w", err)
+		}
+		fmt.Println("audit: OK (auditors, reference oracle and every engine path agree exactly)")
+		return nil
+	}
+	fmt.Printf("audit: trace has %d jobs, skipping O(n²) oracle comparison (limit %d)\n",
+		tr.Len(), oracleJobLimit)
 	if opt.Faults.Enabled() {
 		// The schedule auditor reconstructs one uninterrupted start per job,
 		// which no longer describes a fault run; the stream auditor carries
@@ -521,15 +530,6 @@ func runAudit(tr *trace.Trace, opt sim.Options, res *sim.Result, events []obs.Ev
 		return fmt.Errorf("stream audit: %w", err)
 	}
 	fmt.Printf("stream audit: OK (%d decision events)\n", srep.EventsChecked)
-	if tr.Len() > oracleJobLimit {
-		fmt.Printf("audit: trace has %d jobs, skipping O(n²) oracle comparison (limit %d)\n",
-			tr.Len(), oracleJobLimit)
-		return nil
-	}
-	if err := check.Verify(tr, opt); err != nil {
-		return fmt.Errorf("differential check: %w", err)
-	}
-	fmt.Println("audit: schedule matches the reference oracle and every engine path exactly")
 	return nil
 }
 
