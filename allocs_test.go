@@ -42,7 +42,7 @@ func TestHotPathAllocs(t *testing.T) {
 		{"RunStream", 3, 100, func() error { _, err := sim.RunStream(trace.NewSliceStream(tr), opt, sink); return err }},
 		// A fresh Runner per run, as one schedsim -stream process pays:
 		// window pages, arena and queue growth included.
-		{"RunStream/cold", 81, 5, func() error {
+		{"RunStream/cold", 75, 5, func() error {
 			_, err := sim.NewRunner().RunStream(trace.NewSliceStream(tr), opt, sink)
 			return err
 		}},

@@ -165,7 +165,16 @@ func (a *availability) earliest(from float64, procs int, dur float64) (float64, 
 	return last, a.freeAt(pts[len(pts)-1])
 }
 
-// reserve blocks procs cores during [t, t+dur) for later queries.
+// reserve blocks procs cores during [t, t+dur) for later queries. A job
+// holds its cores at its start instant even when it runs for no time, and
+// every job planned within 1e-9 s after t starts in the same pass (before
+// it, in descending queue position), so a reservation ending within that
+// window is stretched to end just past it: an empty [t, t) would block
+// nothing.
 func (a *availability) reserve(t, dur float64, procs int) {
-	a.resv = append(a.resv, reservation{start: t, end: t + dur, procs: procs})
+	end := t + dur
+	if w := t + 1e-9; end <= w {
+		end = math.Nextafter(w, math.Inf(1))
+	}
+	a.resv = append(a.resv, reservation{start: t, end: end, procs: procs})
 }

@@ -14,8 +14,10 @@ type JobEnd struct {
 // partition's running jobs. It replaces the per-pass "collect the runset
 // into a slice, sort it, fold it into a step function" reconstruction the
 // simulator used to perform at every blocked-head scheduling pass: Add on
-// dispatch and Remove on release keep the set sorted at all times, so
-// materializing the availability profile is a single allocation-free linear
+// dispatch and Remove on release keep the set sorted at all times, so the
+// blocked head's earliest start is one early-exit scan (shadow), and
+// materializing the availability profile — which only conservative
+// backfilling's reservations need — is a single allocation-free linear
 // fold (buildInto).
 //
 // Entries are aggregated by end time — one entry per distinct End with the
@@ -203,6 +205,63 @@ func (a *AvailSet) buildInto(p *profile, now float64, freeNow int) (nextEnd floa
 	return nextEnd
 }
 
+// shadow is profile.earliestStart on the step function buildInto would
+// materialize at now, computed by one early-exit scan of the set instead of
+// a build and a walk. Without reservations that step function never
+// decreases: its free count starts at freeNow plus the cores of ends at or
+// before now and gains each later end's cores. So once a segment holds
+// procs cores every later one does too, and the earliest start is the
+// first candidate — from itself, then each planned end after it — whose
+// segment reaches procs, whatever the requested duration; minFree is that
+// segment's free count. When none does, the answer is earliestStart's
+// fallback: the last breakpoint (the latest end, or now without one) or
+// from, whichever is later, with the final free count. It also returns the
+// scan's cache key parts: nextEnd, the first planned end strictly after now
+// (+Inf when none), and baseFree, the free count at now.
+func (a *AvailSet) shadow(now float64, freeNow int, from float64, procs int) (start float64, minFree int, nextEnd float64, baseFree int) {
+	ends, ps := a.ends, a.procs
+	cur := freeNow
+	i := a.head
+	for ; i < len(ends) && ends[i] <= now; i++ {
+		cur += ps[i]
+	}
+	baseFree, nextEnd = cur, math.Inf(1)
+	if i < len(ends) {
+		nextEnd = ends[i]
+	}
+	// The segment containing from holds every end at or before it.
+	for ; i < len(ends) && ends[i] <= from; i++ {
+		cur += ps[i]
+	}
+	if cur >= procs {
+		return from, cur, nextEnd, baseFree
+	}
+	for ; i < len(ends); i++ {
+		cur += ps[i]
+		if cur >= procs {
+			return ends[i], cur, nextEnd, baseFree
+		}
+	}
+	last := now
+	if n := len(ends); n > a.head && ends[n-1] > now {
+		last = ends[n-1]
+	}
+	if last < from {
+		last = from
+	}
+	return last, cur, nextEnd, baseFree
+}
+
+// Shadow returns the earliest time >= from at which procs cores are free
+// and the free count there, on the availability profile the set produces
+// at now with freeNow cores currently free. It is the verification view of
+// the simulator's blocked-head scan: internal/check asserts it equals
+// NewPlanner(now, freeNow).EarliestStart(from, procs, dur) for any dur.
+func (a *AvailSet) Shadow(now float64, freeNow int, from float64, procs int) (start float64, minFree int) {
+	start, minFree, _, _ = a.shadow(now, freeNow, from, procs)
+	return start, minFree
+}
+
 // Snapshot returns the availability profile (breakpoints and free counts)
 // the set produces at time now with freeNow cores currently free. It is the
 // verification view of buildInto: internal/check asserts it equals
@@ -244,7 +303,8 @@ func (pl *Planner) FreeAt(t float64) int { return pl.prof.freeAt(t) }
 // EarliestStart returns the first time >= from at which procs cores stay
 // free for dur seconds, plus the minimum free count over that window.
 func (pl *Planner) EarliestStart(from float64, procs int, dur float64) (start float64, minFree int) {
-	return pl.prof.earliestStart(from, procs, dur)
+	start, minFree, _ = pl.prof.earliestStart(from, procs, dur)
+	return start, minFree
 }
 
 // Window reports whether procs cores stay free throughout [t, t+dur); see

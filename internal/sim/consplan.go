@@ -193,7 +193,7 @@ func (cp *consPlan) rebuildReserved(prof *profile, q *jobQueue, slots []pending)
 		st := cp.starts[k]
 		b = append(b,
 			resBound{t: st, d: int32(-c.procs)},
-			resBound{t: st + c.reqTime, d: int32(c.procs)})
+			resBound{t: reservationEnd(st, c.reqTime), d: int32(c.procs)})
 	}
 	// Equal-time edges merge by summing deltas below, so the sort order
 	// among them cannot affect the result (no stability needed).
@@ -240,7 +240,7 @@ func (cp *consPlan) rebuildReserved(prof *profile, q *jobQueue, slots []pending)
 func (cp *consPlan) applyHoles(now float64) {
 	for _, h := range cp.holes {
 		if h.End > now {
-			cp.rprof.reserve(now, h.End-now, -h.Procs)
+			cp.rprof.add(now, h.End, h.Procs)
 		}
 	}
 	cp.holes = cp.holes[:0]
@@ -352,7 +352,7 @@ func (s *simulator) conservativePass(p int, prof *profile) {
 				cp.planLen = pos + 1
 				continue
 			}
-			st, idx := rp.earliestStartIdx(now, c.procs, c.reqTime)
+			st, _, idx := rp.earliestStart(now, c.procs, c.reqTime)
 			rp.reserveFrom(idx, st, c.reqTime, c.procs)
 			cp.setStart(pos, st)
 			cp.planLen = pos + 1
@@ -367,13 +367,15 @@ func (s *simulator) conservativePass(p int, prof *profile) {
 	// Start immediately-startable jobs; iterate descending position so
 	// earlier removals don't shift lower indices, and compact the plan in
 	// step with the queue. A start in the epsilon window (planned a hair
-	// after now) leaves its reservation misaligned with its real
+	// after now), or of a reservation stretched over that window (see
+	// reservationEnd), leaves its reservation misaligned with its real
 	// occupancy, so the plan cannot be carried forward.
 	eps := false
 	for i := cp.planLen - 1; i >= 0; i-- {
 		st := cp.starts[i]
-		if st <= now+1e-9 && s.cl.CanAllocate(p, s.slots[ps.q.at(i)].procs) {
-			if st != now {
+		c := &s.slots[ps.q.at(i)]
+		if st <= now+startWindow && s.cl.CanAllocate(p, c.procs) {
+			if st != now || reservationEnd(st, c.reqTime) != st+c.reqTime {
 				eps = true
 			}
 			s.start(p, i)

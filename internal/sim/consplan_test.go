@@ -53,7 +53,7 @@ func installConsReplay(t *testing.T) *consReplay {
 			free:  append([]int(nil), a.BaseFree...),
 		}
 		for pos := 0; pos < len(a.Procs); pos++ {
-			st, _ := ref.earliestStart(a.Now, a.Procs[pos], a.ReqTime[pos])
+			st, _, _ := ref.earliestStart(a.Now, a.Procs[pos], a.ReqTime[pos])
 			ref.reserve(st, a.ReqTime[pos], a.Procs[pos])
 			if pos < len(a.Starts) {
 				if st != a.Starts[pos] {
@@ -152,6 +152,9 @@ func randomConsTrace(r *rand.Rand, cores, parts, n int) *trace.Trace {
 			now += math.Floor(r.ExpFloat64() * 45)
 		}
 		run := math.Floor(r.Float64() * 4000)
+		if r.Intn(8) == 0 {
+			run = 0
+		}
 		wall := 0.0
 		switch r.Intn(4) {
 		case 0: // no walltime: planner falls back to actual runtime

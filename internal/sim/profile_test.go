@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -10,7 +11,7 @@ func TestProfileEmpty(t *testing.T) {
 	if p.freeAt(0) != 10 || p.freeAt(100) != 10 {
 		t.Fatal("empty profile should be constant")
 	}
-	st, mf := p.earliestStart(0, 5, 100)
+	st, mf, _ := p.earliestStart(0, 5, 100)
 	if st != 0 || mf != 10 {
 		t.Fatalf("earliestStart = %v, %v", st, mf)
 	}
@@ -33,7 +34,7 @@ func TestProfileStep(t *testing.T) {
 func TestProfileEarliestStart(t *testing.T) {
 	p := newProfile(0, 2, []JobEnd{{End: 10, Procs: 4}, {End: 20, Procs: 8}})
 	// needs 6 cores for 5s: available at t=10
-	st, mf := p.earliestStart(0, 6, 5)
+	st, mf, _ := p.earliestStart(0, 6, 5)
 	if st != 10 {
 		t.Fatalf("start = %v want 10", st)
 	}
@@ -41,17 +42,17 @@ func TestProfileEarliestStart(t *testing.T) {
 		t.Fatalf("minFree = %v want 6", mf)
 	}
 	// needs 6 cores for 15s: window [10,25) dips are none after 10 (6 then 14) -> still 10
-	st, _ = p.earliestStart(0, 6, 15)
+	st, _, _ = p.earliestStart(0, 6, 15)
 	if st != 10 {
 		t.Fatalf("start = %v want 10", st)
 	}
 	// needs 10 cores: only after t=20
-	st, _ = p.earliestStart(0, 10, 5)
+	st, _, _ = p.earliestStart(0, 10, 5)
 	if st != 20 {
 		t.Fatalf("start = %v want 20", st)
 	}
 	// needs 2 cores: immediately
-	st, _ = p.earliestStart(0, 2, 1000)
+	st, _, _ = p.earliestStart(0, 2, 1000)
 	if st != 0 {
 		t.Fatalf("start = %v want 0", st)
 	}
@@ -77,6 +78,31 @@ func TestProfileReserve(t *testing.T) {
 	}
 }
 
+// A zero-duration reservation still holds its cores at its start instant,
+// through the start window of the pass that starts it: a job planned there
+// would start in the same pass and take them first.
+func TestProfileZeroDurationReserveBlocksStart(t *testing.T) {
+	p := newProfile(0, 6, nil)
+	p.reserve(10, 0, 6)
+	if p.freeAt(10) != 0 || p.freeAt(10+startWindow) != 0 {
+		t.Fatalf("zero-duration reservation blocks nothing: %v %v", p.times, p.free)
+	}
+	if p.freeAt(9.5) != 6 || p.freeAt(10.5) != 6 {
+		t.Fatalf("zero-duration reservation blocks too much: %v %v", p.times, p.free)
+	}
+	// A 1-core job of 5 s cannot run across the reserved instant.
+	if st, _, _ := p.earliestStart(6, 1, 5); st <= 10+startWindow {
+		t.Fatalf("earliest start %v overlaps the reserved instant", st)
+	}
+	// reserveFrom builds the same step function.
+	q := newProfile(0, 6, nil)
+	st, _, idx := q.earliestStart(10, 6, 0)
+	q.reserveFrom(idx, st, 0, 6)
+	if !slices.Equal(q.times, p.times) || !slices.Equal(q.free, p.free) {
+		t.Fatalf("reserveFrom (%v %v) differs from reserve (%v %v)", q.times, q.free, p.times, p.free)
+	}
+}
+
 func TestProfileWindowRespectsReservations(t *testing.T) {
 	p := newProfile(0, 10, nil)
 	p.reserve(5, 10, 8)
@@ -88,7 +114,7 @@ func TestProfileWindowRespectsReservations(t *testing.T) {
 	if ok {
 		t.Fatal("window [0,6) overlaps the reservation; only 2 free")
 	}
-	st, _ := p.earliestStart(0, 6, 6)
+	st, _, _ := p.earliestStart(0, 6, 6)
 	if st != 15 {
 		t.Fatalf("earliest start around reservation = %v want 15", st)
 	}
@@ -114,7 +140,7 @@ func TestProfileEarliestFeasiblePropertyQuick(t *testing.T) {
 		p := newProfile(0, capacity-used, ends)
 		procs := int(procsRaw)%capacity + 1
 		dur := float64(durRaw%100) + 1
-		st, _ := p.earliestStart(0, procs, dur)
+		st, _, _ := p.earliestStart(0, procs, dur)
 		ok, _ := p.window(st, dur, procs)
 		return ok
 	}
@@ -185,7 +211,7 @@ func TestEarliestStartMinFreeExact(t *testing.T) {
 		p := newProfile(0, capacity-used, ends)
 		procs := int(procsRaw)%capacity + 1
 		dur := float64(durRaw%80) + 1
-		st, mf := p.earliestStart(0, procs, dur)
+		st, mf, _ := p.earliestStart(0, procs, dur)
 		// Recompute the window minimum from scratch via freeAt.
 		want := p.freeAt(st)
 		for i := range p.times {

@@ -366,7 +366,7 @@ func (q *jobQueue) remove(pos int) {
 type partState struct {
 	q     jobQueue
 	avail AvailSet // planned ends of running jobs, maintained incrementally
-	prof  profile  // scratch availability profile, rebuilt per blocked pass
+	prof  profile  // scratch availability profile for conservative passes
 	// plan is the persistent conservative-backfilling reservation plan,
 	// repaired incrementally across passes instead of rebuilt (see consplan.go).
 	plan consPlan
@@ -376,14 +376,10 @@ type partState struct {
 	sorted   bool
 	sortTime float64
 	sortFair int
-	// Profile cache: the scratch profile stays valid until the end multiset
-	// changes (profVer tracks the AvailSet version), the free count changes,
-	// or time reaches the first planned end past the cached build
-	// (profNextEnd) — see buildProfile.
-	profValid   bool
-	profVer     uint64
-	profFree    int
-	profNextEnd float64
+	// Profile cache: the scratch profile stays valid while profKey holds —
+	// see buildProfile.
+	profValid bool
+	profKey   availKey
 	// failScan memoizes rejected backfill candidates; see backfillPass.
 	failScan failScan
 	scanGen  uint64 // monotone backfill-scan generation counter
@@ -394,9 +390,9 @@ type partState struct {
 	// schedule skip the entire planning pass — see the fast reject there.
 	fitBound int
 	// Shadow cache: the blocked head's planned (start, minFree), reusable
-	// while the cached profile holds and the head is unchanged — see
-	// schedule. Cleared whenever the profile is rebuilt or mutated.
+	// while shadowKey holds and the head is unchanged — see schedule.
 	shadowValid   bool
+	shadowKey     availKey
 	shadowIdx     int
 	shadowStart   float64
 	shadowMinFree int
@@ -409,6 +405,24 @@ type partState struct {
 	// against reusing a seed across clock advances.
 	shadowSeedOK bool
 	shadowNow    float64
+}
+
+// availKey identifies a partition's availability step function as seen
+// from the clock: the planned-end multiset (tracked by the AvailSet
+// version), the free core count, and the first planned end strictly after
+// the clock. Until the clock reaches nextEnd, advancing it only moves the
+// step function's base breakpoint, which planning queries never
+// distinguish because they always start at the current time.
+type availKey struct {
+	ver     uint64
+	free    int
+	nextEnd float64
+}
+
+// holds reports whether k still describes a partition whose AvailSet is at
+// version ver with free cores free at time now.
+func (k availKey) holds(ver uint64, free int, now float64) bool {
+	return k.ver == ver && k.free == free && now < k.nextEnd
 }
 
 // failScan tracks the live backfill-scan memo generation: queued jobs
@@ -1045,7 +1059,7 @@ func (s *simulator) schedule(p int) error {
 		// Outage-blocked head: while a capacity fault holds the partition
 		// below the head's request, no reservation can be planned for it
 		// (the availability profile never reaches head.procs free cores,
-		// so earliestStart has no feasible answer). Degrade to a pure
+		// so the shadow scan has no feasible answer). Degrade to a pure
 		// greedy pass — start any queued job that fits the free cores,
 		// with no reservation to protect — until capacity returns.
 		if s.flt != nil && head.procs > s.cl.Capacity(p)-s.cl.DownCores(p) {
@@ -1055,35 +1069,39 @@ func (s *simulator) schedule(p int) error {
 			}
 			continue
 		}
-		// Head is blocked: plan its reservation. The answer is cached
-		// alongside the profile cache: when the profile hasn't changed and
-		// the head's earliest-start scan provably fails at the base segment
-		// (free[0] < procs, with a later breakpoint to resume from), the
-		// scan's result is independent of the query time — the search
-		// immediately resumes at the first breakpoint — so as long as the
-		// same head is blocked on the same build, (shadow, minFree) are
-		// unchanged. Without a resume breakpoint, or when the base segment
-		// admits the head on paper (cores freed by jobs running past their
-		// planned end), the result tracks the clock and is not cached.
-		prof := s.buildProfile(p)
+		// Head is blocked: plan its reservation. The shadow is one scan of
+		// the planned ends (AvailSet.shadow), and the answer is cached:
+		// while the availability step function is unchanged (shadowKey)
+		// and the head's scan provably fails at the base segment (fewer
+		// than procs cores free at now, with a later planned end to resume
+		// from), the result is independent of the query time — the scan
+		// resumes at the first planned end — so as long as the same head
+		// is blocked, (shadow, minFree) are unchanged. Without a later end,
+		// or when the base segment admits the head on paper (cores freed
+		// by jobs running past their planned end), the result tracks the
+		// clock and is not cached.
+		free := s.cl.Free(p)
 		var shadow float64
 		var minFree int
-		if ps.shadowValid && ps.shadowIdx == head.idx {
+		if ps.shadowValid && ps.shadowIdx == head.idx && ps.shadowKey.holds(ps.avail.ver, free, s.now) {
 			shadow, minFree = ps.shadowStart, ps.shadowMinFree
 		} else {
 			// Seed the search at the previous shadow when it is still a
 			// proven lower bound (same head, same clock, only dispatches
-			// since): earliestStart returns the first feasible time >= its
-			// from argument, and none can exist before the seed, so the
-			// result is identical to a scan from now — the infeasible
-			// prefix is just skipped.
+			// since): the scan returns the first feasible time >= its from
+			// argument, and none can exist before the seed, so the result
+			// is identical to a scan from now — the infeasible prefix is
+			// just skipped.
 			from := s.now
 			if ps.shadowSeedOK && ps.shadowIdx == head.idx &&
 				ps.shadowNow == s.now && ps.shadowStart > from {
 				from = ps.shadowStart
 			}
-			shadow, minFree = prof.earliestStart(from, head.procs, head.reqTime)
-			ps.shadowValid = len(prof.times) >= 2 && prof.free[0] < head.procs
+			var nextEnd float64
+			var baseFree int
+			shadow, minFree, nextEnd, baseFree = ps.avail.shadow(s.now, free, from, head.procs)
+			ps.shadowValid = baseFree < head.procs && !math.IsInf(nextEnd, 1)
+			ps.shadowKey = availKey{ver: ps.avail.ver, free: free, nextEnd: nextEnd}
 			ps.shadowIdx = head.idx
 			ps.shadowStart = shadow
 			ps.shadowMinFree = minFree
@@ -1102,11 +1120,12 @@ func (s *simulator) schedule(p int) error {
 			}
 		}
 		if s.opt.Backfill == Conservative {
-			// The pass reserves into its own persistent profile copy, so
-			// prof — and with it the profile and shadow caches — survives;
-			// any starts it makes bump the AvailSet version, which
-			// invalidates them through the normal buildProfile path.
-			s.conservativePass(p, prof)
+			// Only conservative reservations need the materialized
+			// profile. The pass reserves into its own persistent copy, so
+			// the scratch profile — and with it the profile cache —
+			// survives; any starts it makes bump the AvailSet version,
+			// which invalidates both caches.
+			s.conservativePass(p, s.buildProfile(p))
 			return nil
 		}
 		extra := minFree - head.procs
@@ -1180,29 +1199,24 @@ func (s *simulator) adaptiveAllowance(p int, head *pending) float64 {
 }
 
 // buildProfile materializes partition p's availability profile at now into
-// the partition's scratch profile. The planned ends are maintained
-// incrementally by start/release (AvailSet), so a rebuild is a linear fold
-// with no sorting and, in the steady state, no allocation — and rebuilds
-// are themselves cached: the fold's output depends only on the end multiset
-// (tracked by the AvailSet version), the free count, and which ends time
-// has passed. Between builds, advancing the clock without crossing
-// profNextEnd (the first planned end past the cached build) only moves the
-// profile's base breakpoint, which planning queries never distinguish
-// because they always start at the current time — so bursts of arrivals
-// between completions reuse one build. conservativePass only reads the
-// scratch profile (reservations go into its own persistent copy), so the
-// cache also survives conservative passes.
+// the partition's scratch profile, for conservative backfilling: its
+// reservations need the whole step function, while the other kinds only
+// ask for the head's shadow, which schedule scans straight from the
+// AvailSet. The planned ends are maintained incrementally by start/release,
+// so a rebuild is a linear fold with no sorting and, in the steady state,
+// no allocation — and rebuilds are themselves cached while profKey holds
+// (see availKey), so bursts of arrivals between completions reuse one
+// build. conservativePass only reads the scratch profile (reservations go
+// into its own persistent copy), so the cache also survives its passes.
 func (s *simulator) buildProfile(p int) *profile {
 	ps := &s.parts[p]
 	free := s.cl.Free(p)
-	if ps.profValid && ps.profVer == ps.avail.ver && ps.profFree == free && s.now < ps.profNextEnd {
+	if ps.profValid && ps.profKey.holds(ps.avail.ver, free, s.now) {
 		return &ps.prof
 	}
-	ps.profNextEnd = ps.avail.buildInto(&ps.prof, s.now, free)
+	nextEnd := ps.avail.buildInto(&ps.prof, s.now, free)
 	ps.profValid = true
-	ps.profVer = ps.avail.ver
-	ps.profFree = free
-	ps.shadowValid = false // planning answers from the old build are stale
+	ps.profKey = availKey{ver: ps.avail.ver, free: free, nextEnd: nextEnd}
 	return &ps.prof
 }
 
