@@ -71,13 +71,22 @@ func verify(tr *trace.Trace, opt sim.Options, oracle bool) error {
 }
 
 // engine is one row of the engine table: a way to run the simulator other
-// than sim.Run. run returns the engine's Result, the decision events the
-// engine emitted, and the time before which those must equal the
-// materialized run's events (+Inf for the whole stream).
+// than sim.Run.
 type engine struct {
 	name   string
 	faults bool // whether the engine accepts fault injection
-	run    func(tr *trace.Trace, opt sim.Options) (res *sim.Result, events []obs.Event, until float64, err error)
+	run    func(tr *trace.Trace, opt sim.Options) (engineRun, error)
+}
+
+// engineRun is what one engine row's run produced: its Result, the Summary
+// of a second run when the engine has a summary path (nil otherwise), the
+// decision events the engine emitted, and the time before which those
+// must equal the materialized run's events (+Inf for the whole stream).
+type engineRun struct {
+	res    *sim.Result
+	sum    *sim.Summary
+	events []obs.Event
+	until  float64
 }
 
 // engines is the engine table. A new engine path gets a differential pin by
@@ -90,7 +99,7 @@ var engines = []engine{
 // runStreamed replays tr through the windowed streaming simulator. The
 // retired rows become the Result's Jobs and PromisedStart, so the whole
 // Result compares.
-func runStreamed(tr *trace.Trace, opt sim.Options) (*sim.Result, []obs.Event, float64, error) {
+func runStreamed(tr *trace.Trace, opt sim.Options) (engineRun, error) {
 	rec := &obs.Recorder{}
 	opt.Observer = rec
 	var jobs []trace.Job
@@ -101,16 +110,17 @@ func runStreamed(tr *trace.Trace, opt sim.Options) (*sim.Result, []obs.Event, fl
 		return nil
 	})
 	if err != nil {
-		return nil, nil, 0, err
+		return engineRun{}, err
 	}
 	res.Jobs, res.PromisedStart = jobs, promised
-	return res, rec.Events, math.Inf(1), nil
+	return engineRun{res: res, events: rec.Events, until: math.Inf(1)}, nil
 }
 
 // runForked pauses a checkpoint at the middle arrival's submit instant and
-// runs a fork of it to completion. The checkpoint's event tap sees the
-// events strictly before the pause; the fork is headless.
-func runForked(tr *trace.Trace, opt sim.Options) (*sim.Result, []obs.Event, float64, error) {
+// runs two forks of it to completion, one through Run and one through
+// RunSummary. The checkpoint's event tap sees the events strictly before
+// the pause; the forks are headless.
+func runForked(tr *trace.Trace, opt sim.Options) (engineRun, error) {
 	pause := 0.0
 	if n := tr.Len(); n > 0 {
 		pause = tr.Jobs[n/2].Submit
@@ -119,10 +129,18 @@ func runForked(tr *trace.Trace, opt sim.Options) (*sim.Result, []obs.Event, floa
 	opt.Observer = tap
 	ck, err := sim.RunToCheckpoint(tr, opt, pause)
 	if err != nil {
-		return nil, nil, 0, err
+		return engineRun{}, err
+	}
+	f, err := ck.Fork()
+	if err != nil {
+		return engineRun{}, err
+	}
+	sum, err := f.RunSummary(context.Background())
+	if err != nil {
+		return engineRun{}, fmt.Errorf("summary: %w", err)
 	}
 	res, err := ck.WhatIf(context.Background())
-	return res, tap.Events, pause, err
+	return engineRun{res: res, sum: sum, events: tap.Events, until: pause}, err
 }
 
 // checkEngines runs every engine row that accepts opt and compares it with
@@ -140,15 +158,19 @@ func checkEngines(tr *trace.Trace, opt sim.Options, mat *sim.Result, events []ob
 
 // check runs e on tr under opt and compares it with the materialized run.
 func (e engine) check(tr *trace.Trace, opt sim.Options, mat *sim.Result, events []obs.Event) error {
-	res, got, until, err := e.run(tr, opt)
+	r, err := e.run(tr, opt)
 	if err != nil {
 		return fmt.Errorf("check: %s engine: %w", e.name, err)
 	}
 	n := 0
-	for n < len(events) && events[n].Time < until {
+	for n < len(events) && events[n].Time < r.until {
 		n++
 	}
-	if err := sameRun(res, got, mat, events[:n]); err != nil {
+	err = sameRun(r.res, r.events, mat, events[:n])
+	if err == nil && r.sum != nil {
+		err = exact("Summary", reflect.ValueOf(*r.sum), reflect.ValueOf(*mat.Summary()))
+	}
+	if err != nil {
 		return fmt.Errorf("check: %s engine diverges from the materialized run: %w", e.name, err)
 	}
 	return nil

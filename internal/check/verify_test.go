@@ -58,8 +58,8 @@ func TestStreamDifferentialSweep(t *testing.T) {
 
 // TestEngineComparisonNamesField proves the engine comparison has teeth:
 // an engine whose run differs from the materialized one in a single row,
-// queue-timeline sample, decision event or fault counter fails with an
-// error naming that field.
+// queue-timeline sample, decision event, fault counter or summary wait
+// fails with an error naming that field.
 func TestEngineComparisonNamesField(t *testing.T) {
 	tr := verifyTrace(t, synth.VerifyHPC(0.2), 7)
 	opt := sim.Options{Policy: sim.FCFS, Backfill: sim.EASY, Faults: faultScenarios()["mixed"]}
@@ -79,21 +79,23 @@ func TestEngineComparisonNamesField(t *testing.T) {
 	}
 	cases := []struct {
 		field  string
-		tamper func(res *sim.Result, events []obs.Event)
+		tamper func(r *engineRun)
 	}{
-		{"Result.Jobs[5].Wait", func(res *sim.Result, _ []obs.Event) { res.Jobs[5].Wait++ }},
-		{"Result.QueueTimeline[3].Length", func(res *sim.Result, _ []obs.Event) { res.QueueTimeline[3].Length++ }},
-		{"events[10].Detail", func(_ *sim.Result, events []obs.Event) { events[10].Detail += 0.5 }},
-		{"Result.Requeued", func(res *sim.Result, _ []obs.Event) { res.Requeued++ }},
+		{"Result.Jobs[5].Wait", func(r *engineRun) { r.res.Jobs[5].Wait++ }},
+		{"Result.QueueTimeline[3].Length", func(r *engineRun) { r.res.QueueTimeline[3].Length++ }},
+		{"events[10].Detail", func(r *engineRun) { r.events[10].Detail += 0.5 }},
+		{"Result.Requeued", func(r *engineRun) { r.res.Requeued++ }},
+		{"Summary.Waits[5]", func(r *engineRun) { r.sum.Waits[5]++ }},
+		{"Summary.Interrupted", func(r *engineRun) { r.sum.Interrupted++ }},
 	}
 	for _, tc := range cases {
 		tampered := forked
-		tampered.run = func(tr *trace.Trace, opt sim.Options) (*sim.Result, []obs.Event, float64, error) {
-			res, events, until, err := forked.run(tr, opt)
+		tampered.run = func(tr *trace.Trace, opt sim.Options) (engineRun, error) {
+			r, err := forked.run(tr, opt)
 			if err == nil {
-				tc.tamper(res, events)
+				tc.tamper(&r)
 			}
-			return res, events, until, err
+			return r, err
 		}
 		err := tampered.check(tr, opt, mat, rec.Events)
 		if err == nil || !strings.Contains(err.Error(), tc.field+" ") {

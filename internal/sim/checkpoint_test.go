@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -50,9 +51,10 @@ func ckTrace(t *testing.T) *trace.Trace {
 	return tr
 }
 
-// ckSameResult asserts two results are identical: every field of Result,
-// slices element by element, so a field added later is compared too.
-func ckSameResult(t *testing.T, tag string, got, want *Result) {
+// ckSameResult asserts two results — two Results or two Summaries — are
+// identical: every field, slices element by element, so a field added
+// later is compared too.
+func ckSameResult(t *testing.T, tag string, got, want any) {
 	t.Helper()
 	g, w := reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()
 	for i := 0; i < w.NumField(); i++ {
@@ -74,9 +76,26 @@ func ckSameResult(t *testing.T, tag string, got, want *Result) {
 	}
 }
 
+// ckSummaryMatches runs a fresh fork of ck through RunSummary and asserts
+// its summary is want's: waits bit for bit Result.Jobs[i].Wait, the
+// aggregates equal.
+func ckSummaryMatches(t *testing.T, tag string, ck *Checkpoint, want *Result) {
+	t.Helper()
+	f, err := ck.Fork()
+	if err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	got, err := f.RunSummary(nil)
+	if err != nil {
+		t.Fatalf("%s: summary: %v", tag, err)
+	}
+	ckSameResult(t, tag+" summary", got, want.Summary())
+}
+
 // TestCheckpointForkMatchesColdRun: pausing at a spread of points — before,
 // inside, and after the arrival window — then forking must reproduce the
-// cold run exactly for every policy/backfill shape.
+// cold run exactly for every policy/backfill shape, through Run and
+// through RunSummary.
 func TestCheckpointForkMatchesColdRun(t *testing.T) {
 	tr := ckTrace(t)
 	span := tr.Jobs[len(tr.Jobs)-1].Submit
@@ -106,6 +125,7 @@ func TestCheckpointForkMatchesColdRun(t *testing.T) {
 					t.Fatalf("pause %v: %v", frac, err)
 				}
 				ckSameResult(t, opt.Policy.String(), got, want)
+				ckSummaryMatches(t, fmt.Sprintf("%s pause %v", opt.Policy, frac), ck, want)
 			}
 		})
 	}
@@ -114,8 +134,9 @@ func TestCheckpointForkMatchesColdRun(t *testing.T) {
 // TestForkCopiesOnlyInFlight pins what a fork copies: a fork of a
 // checkpoint paused deep into a 4k-job log holds no more live arena slots
 // than jobs queued plus running — the arena is sized by what is in flight,
-// not by the log — and its queues equal the source's element for element
-// (slots and scan mirrors), with nothing re-anchored. The fork must still
+// not by the log — its queues equal the source's element for element
+// (slots and scan mirrors), with nothing re-anchored, and it shares the
+// source's queue timeline instead of copying it. The fork must still
 // finish like a cold run.
 func TestForkCopiesOnlyInFlight(t *testing.T) {
 	tr := randomTrace(17, 4000, 64)
@@ -142,6 +163,9 @@ func TestForkCopiesOnlyInFlight(t *testing.T) {
 				t.Fatal(err)
 			}
 			src, dst := &ck.s, &f.s
+			if n := len(src.timeline); n == 0 || len(dst.timeline) != n || cap(dst.timeline) != n || &dst.timeline[0] != &src.timeline[0] {
+				t.Errorf("fork holds a timeline of %d/%d samples apart from the source's %d: a copy", len(dst.timeline), cap(dst.timeline), n)
+			}
 			inFlight := dst.queued + dst.compl.len()
 			if live := len(dst.slots) - len(dst.freeSlots); live > inFlight {
 				t.Errorf("fork holds %d live slots for %d jobs in flight", live, inFlight)
@@ -166,6 +190,66 @@ func TestForkCopiesOnlyInFlight(t *testing.T) {
 			}
 			ckSameResult(t, name, got, want)
 		})
+	}
+}
+
+// TestForkSharedTimelineSurvivesThinning: forks share the checkpoint's
+// queue timeline, and a checkpoint advanced past a thinning must not
+// overwrite the samples they hold. Two forks are taken early; the
+// checkpoint then advances through more than 2*maxTimelineSamples samples
+// while one fork runs concurrently (the race detector's pin) and the other
+// waits until it is done (the pin without it). Both must still match the
+// cold run, and a third fork run through RunSummary takes no sample.
+func TestForkSharedTimelineSurvivesThinning(t *testing.T) {
+	tr := randomTrace(5, 6000, 64)
+	opt := Options{Policy: FCFS, Backfill: EASY}
+	want, err := Run(tr, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := RunToCheckpoint(tr, opt, tr.Jobs[500].Submit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var forks [3]*Fork
+	for i := range forks {
+		if forks[i], err = ck.Fork(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shared := len(ck.s.timeline)
+	type outcome struct {
+		res *Result
+		err error
+	}
+	done := make(chan outcome)
+	go func() {
+		res, err := forks[0].Run(nil)
+		done <- outcome{res, err}
+	}()
+	if err := ck.AdvanceTo(math.Inf(1)); err != nil {
+		t.Fatal(err)
+	}
+	if ck.s.timelineShared {
+		t.Fatalf("the checkpoint never thinned its %d-sample timeline after the fork", shared)
+	}
+	concurrent := <-done
+	if concurrent.err != nil {
+		t.Fatal(concurrent.err)
+	}
+	ckSameResult(t, "concurrent fork", concurrent.res, want)
+	later, err := forks[1].Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckSameResult(t, "fork run after the thinning", later, want)
+	sum, err := forks[2].RunSummary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckSameResult(t, "summary fork", sum, want.Summary())
+	if n := len(forks[2].s.timeline); n != shared {
+		t.Errorf("RunSummary sampled the queue: %d samples, forked with %d", n, shared)
 	}
 }
 
@@ -391,6 +475,7 @@ func TestCheckpointFaultForkMatchesColdRun(t *testing.T) {
 					t.Fatalf("%s pause %v: %v", tag, frac, err)
 				}
 				ckSameResult(t, fmt.Sprintf("%s pause %v", tag, frac), got, want)
+				ckSummaryMatches(t, fmt.Sprintf("%s pause %v", tag, frac), ck, want)
 			}
 			if n := ckFaultStaged(t, tag+" query-clock", tr, batches, opt, false); n != 0 {
 				t.Fatalf("%s: %d rebuilds with the pause at or before the last submit", tag, n)
@@ -619,8 +704,9 @@ func (b *ckFuzzBytes) next() int {
 // kills, per-attempt interrupts, any recovery mode — then a script of
 // Extend, AdvanceTo (often past the last submit, where the next Extend
 // changes the generated schedule before the pause and forces a rebuild)
-// and forks; every fork must equal a cold sim.Run of the checkpoint's
-// trace, or fail exactly when the cold run does.
+// and forks; every fork — through Run and through RunSummary — must equal
+// a cold sim.Run of the checkpoint's trace, or fail exactly when the cold
+// run does.
 func FuzzCheckpointFaults(f *testing.F) {
 	// Seeds: a header (shape, options, fault spec), then script ops — 0
 	// extends by a batch, 1 advances (past is an advance beyond the last
@@ -694,14 +780,16 @@ func FuzzCheckpointFaults(f *testing.F) {
 			log = append(log, jobs...)
 			return jobs
 		}
-		check := func(step int, got *Result, gotErr error) {
+		check := func(step int, ck *Checkpoint) {
 			t.Helper()
+			got, gotErr := ck.WhatIf(nil)
 			want, wantErr := Run(&trace.Trace{System: sys, Jobs: log}, opt)
 			if (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("step %d: fork error %v, cold run error %v", step, gotErr, wantErr)
 			}
 			if wantErr == nil {
 				ckSameResult(t, fmt.Sprintf("step %d", step), got, want)
+				ckSummaryMatches(t, fmt.Sprintf("step %d", step), ck, want)
 			}
 		}
 
@@ -726,11 +814,9 @@ func FuzzCheckpointFaults(f *testing.F) {
 				}
 				pause = max(pause, to)
 			default:
-				got, err := ck.WhatIf(nil)
-				check(step, got, err)
+				check(step, ck)
 			}
 		}
-		got, err := ck.WhatIf(nil)
-		check(-1, got, err)
+		check(-1, ck)
 	})
 }

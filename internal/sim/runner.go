@@ -204,6 +204,7 @@ func (s *simulator) reset(ctx context.Context, tr *trace.Trace, opt Options, cl 
 		timelineCap = 2 * maxTimelineSamples
 	}
 	s.timeline = make([]QueueSample, 0, timelineCap)
+	s.timelineShared = false
 }
 
 // resetCore reinitializes the state shared by the materialized and streaming

@@ -497,14 +497,25 @@ type simulator struct {
 	started        int
 	makespan       float64
 	timeline       []QueueSample
+	// timelineShared is set while a checkpoint fork shares timeline's
+	// array (see cloneSimulator); noTimeline turns sampling off for a
+	// fork that folds no Result (Fork.RunSummary).
+	timelineShared bool
+	noTimeline     bool
 }
 
 // sampleQueue appends a queue-length sample, thinning by halving once the
-// cap is reached (keeps coverage of the whole run, bounded memory).
+// cap is reached (keeps coverage of the whole run, bounded memory). The
+// thinning is copy-on-thin: it halves in place unless a fork shares the
+// array, whose samples it would overwrite; then it halves into a fresh one.
 func (s *simulator) sampleQueue(t float64) {
 	s.timeline = append(s.timeline, QueueSample{Time: t, Length: s.queued})
 	if len(s.timeline) >= 2*maxTimelineSamples {
 		kept := s.timeline[:0]
+		if s.timelineShared {
+			kept = make([]QueueSample, 0, cap(s.timeline))
+			s.timelineShared = false
+		}
 		for i := 0; i < len(s.timeline); i += 2 {
 			kept = append(kept, s.timeline[i])
 		}
@@ -800,7 +811,9 @@ func (s *simulator) runUntil(pause float64) error {
 				return err
 			}
 		}
-		s.sampleQueue(t)
+		if !s.noTimeline {
+			s.sampleQueue(t)
+		}
 		// Retire the completed window prefix out to the sink: rows leave in
 		// arrival order, keeping the working set O(active + lookahead).
 		if s.in != nil {

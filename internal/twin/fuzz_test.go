@@ -258,17 +258,19 @@ func (ref *fuzzRef) report(t *testing.T, s *Session, req WhatIfRequest) (*Report
 	if req.Seed != nil {
 		seed = *req.Seed
 	}
-	results := make([]*sim.Result, len(req.Candidates))
+	results := make([]*sim.Summary, len(req.Candidates))
 	for i, c := range req.Candidates {
 		opt, err := s.candidateOptions(c, seed)
 		if err != nil {
 			t.Fatalf("candidate %d: %v", i, err)
 		}
-		if results[i], err = sim.Run(s.traceOf(ref.jobs), opt); err != nil {
+		res, err := sim.Run(s.traceOf(ref.jobs), opt)
+		if err != nil {
 			t.Fatalf("candidate %d: %v", i, err)
 		}
+		results[i] = res.Summary()
 	}
-	return buildReport(s.ID, s.cfg, ref.now, seed, req.Candidates, ref.res, results)
+	return buildReport(s.ID, s.cfg, ref.now, seed, req.Candidates, ref.jobs, ref.res.Summary(), results)
 }
 
 func sameJSON(t *testing.T, what string, got, want any) {

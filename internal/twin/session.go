@@ -81,10 +81,10 @@ type Session struct {
 	// prefix — and keeps the job-class counters Status reports.
 	base *sim.Checkpoint
 	tap  baseTap
-	// baseRes is the baseline's full-run Result, which depends on the log
-	// but not on the clock: computed by a what-if's fork of base and kept
-	// until the next Submit.
-	baseRes *sim.Result
+	// baseRes is the Summary of the baseline's full run, which depends on
+	// the log but not on the clock: computed by a what-if's fork of base
+	// and kept until the next Submit.
+	baseRes *sim.Summary
 	hub     *obs.Hub
 	closed  bool
 

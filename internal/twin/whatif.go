@@ -169,13 +169,13 @@ func (s *Session) WhatIf(ctx context.Context, req WhatIfRequest) (*Report, error
 	if forked {
 		off = 1
 	}
-	results := make([]*sim.Result, len(opts))
+	results := make([]*sim.Summary, len(opts))
 	err := par.ForEach(ctx, off+len(opts), func(ctx context.Context, i int) error {
 		if i < off {
 			f := baseFork
 			baseFork = nil
 			var err error
-			if base, err = f.Run(ctx); err != nil {
+			if base, err = f.RunSummary(ctx); err != nil {
 				return fmt.Errorf("twin: baseline: %w", err)
 			}
 			return nil
@@ -186,7 +186,7 @@ func (s *Session) WhatIf(ctx context.Context, req WhatIfRequest) (*Report, error
 		}
 		f, err := s.fork(opts[i], tr, now)
 		if err == nil {
-			results[i], err = f.Run(ctx)
+			results[i], err = f.RunSummary(ctx)
 		}
 		if err != nil {
 			return fmt.Errorf("twin: candidate %d: %w", i, err)
@@ -208,19 +208,19 @@ func (s *Session) WhatIf(ctx context.Context, req WhatIfRequest) (*Report, error
 			results[i] = base
 		}
 	}
-	return buildReport(s.ID, s.cfg, now, seed, req.Candidates, base, results)
+	return buildReport(s.ID, s.cfg, now, seed, req.Candidates, jobs, base, results)
 }
 
-// buildReport scores the candidates' full-run results against the
-// baseline's on the jobs still pending at now under the baseline, and
-// ranks them. results[i] belongs to cands[i].
-func buildReport(id string, cfg SessionConfig, now float64, seed uint64, cands []Candidate, base *sim.Result, results []*sim.Result) (*Report, error) {
+// buildReport scores the candidates' full-run summaries of the log jobs
+// against the baseline's on the jobs still pending at now under the
+// baseline, and ranks them. results[i] belongs to cands[i].
+func buildReport(id string, cfg SessionConfig, now float64, seed uint64, cands []Candidate, jobs []trace.Job, base *sim.Summary, results []*sim.Summary) (*Report, error) {
 	// pending: jobs that have not started at the clock under the baseline
 	// (strictly-before semantics, matching event publication).
-	pending := make([]bool, len(base.Jobs))
+	pending := make([]bool, len(jobs))
 	nPending := 0
-	for i := range base.Jobs {
-		if base.Jobs[i].Submit+base.Jobs[i].Wait >= now {
+	for i := range jobs {
+		if jobs[i].Submit+base.Waits[i] >= now {
 			pending[i] = true
 			nPending++
 		}
@@ -234,11 +234,11 @@ func buildReport(id string, cfg SessionConfig, now float64, seed uint64, cands [
 		Now:         now,
 		Seed:        seed,
 		PendingJobs: nPending,
-		Baseline:    score(Candidate{Policy: cfg.Policy.String(), Backfill: cfg.Backfill.String(), RelaxFactor: cfg.RelaxFactor}, base, pending, nPending),
+		Baseline:    score(Candidate{Policy: cfg.Policy.String(), Backfill: cfg.Backfill.String(), RelaxFactor: cfg.RelaxFactor}, jobs, base, pending, nPending),
 	}
 	rep.Ranking = make([]Outcome, len(results))
 	for i, res := range results {
-		out := score(cands[i], res, pending, nPending)
+		out := score(cands[i], jobs, res, pending, nPending)
 		out.DeltaWait = out.AvgWait - rep.Baseline.AvgWait
 		out.DeltaBsld = out.AvgBsld - rep.Baseline.AvgBsld
 		out.DeltaUtil = out.Utilization - rep.Baseline.Utilization
@@ -390,21 +390,21 @@ func configKey(opt sim.Options) string {
 	return key
 }
 
-// score aggregates one replay over the pending set.
-func score(c Candidate, res *sim.Result, pending []bool, nPending int) Outcome {
+// score aggregates one replay of jobs over the pending set.
+func score(c Candidate, jobs []trace.Job, res *sim.Summary, pending []bool, nPending int) Outcome {
 	tau := sim.Options{}.WithDefaults().BsldTau // the twin never sets BsldTau
 	var waitSum, bsldSum float64
 	for i := range pending {
 		if !pending[i] {
 			continue
 		}
-		j := &res.Jobs[i]
-		waitSum += j.Wait
-		r := j.Run
+		wait, run := res.Waits[i], jobs[i].Run
+		waitSum += wait
+		r := run
 		if r < tau {
 			r = tau
 		}
-		bsld := (j.Wait + j.Run) / r
+		bsld := (wait + run) / r
 		if bsld < 1 {
 			bsld = 1
 		}
