@@ -172,6 +172,25 @@ func TestTwinErrorCodes(t *testing.T) {
 	if code := post(t, base+"/advance", `{"by": 1, "to": 2}`, nil); code != http.StatusBadRequest {
 		t.Fatalf("ambiguous advance: %d, want 400", code)
 	}
+	// Times past the horizon would overflow to +Inf, which neither the
+	// journal nor a reply can encode: every one is refused up front.
+	for i := 0; i < 2; i++ {
+		if code := post(t, base+"/advance", `{"by": 1.7e308}`, nil); code != http.StatusBadRequest {
+			t.Fatalf("advance %d past the horizon: %d, want 400", i, code)
+		}
+	}
+	if code := post(t, base+"/advance", `{"to": 1e16}`, nil); code != http.StatusBadRequest {
+		t.Fatalf("advance to past the horizon: %d, want 400", code)
+	}
+	for _, job := range []string{
+		`{"procs":1,"run":1.7e308,"submit":1.7e308}`,
+		`{"procs":1,"run":1e16}`,
+		`{"procs":1,"run":1,"walltime":1e16}`,
+	} {
+		if code := post(t, base+"/submit", `{"jobs":[`+job+`]}`, nil); code != http.StatusBadRequest {
+			t.Fatalf("job %s past the horizon: %d, want 400", job, code)
+		}
+	}
 }
 
 // TestTwinWhatIfStableBody: repeating an identical what-if query returns a

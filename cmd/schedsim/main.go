@@ -334,7 +334,7 @@ func runStream(ctx context.Context, cfg runConfig, fcfg *fault.Config) error {
 	case cfg.compare, cfg.matrix, cfg.sweep, cfg.estimates, cfg.learned, cfg.degraded:
 		return fmt.Errorf("-stream replays a single run out-of-core; the batch modes (-compare, -matrix, -sweep, -estimates, -learned, -degraded) need the materialized trace")
 	case cfg.audit:
-		return fmt.Errorf("-stream cannot be combined with -audit: the auditors replay the materialized trace (the streaming path is verified by the check package's differential sweep instead)")
+		return fmt.Errorf("-stream cannot be combined with -audit: the auditor reads the materialized run (the streaming path is verified by the check package's differential sweep instead)")
 	case fcfg != nil:
 		return fmt.Errorf("-stream does not support fault injection: outage schedules and per-job fault state need the whole trace up front")
 	case cfg.out != "":
@@ -493,43 +493,32 @@ func runBench(ctx context.Context, tr *trace.Trace, opt sim.Options, n int) erro
 }
 
 // oracleJobLimit bounds the traces we differential-test against the O(n²)
-// reference oracle; above it -audit still runs both auditors, which are
-// near-linear. 2000 keeps the comparison under ~1 minute even for
-// conservative backfilling, the oracle's slowest planner.
+// reference oracle; above it -audit still runs the auditor, which is
+// linear. 2000 keeps the comparison under ~1 minute even for conservative
+// backfilling, the oracle's slowest planner.
 const oracleJobLimit = 2000
 
 // runAudit verifies a finished run. A trace small enough for O(n²) goes
-// through check.Verify: both auditors, the oracle comparison and the exact
+// through check.Verify: the auditor, the oracle comparison and the exact
 // engine rows, on reruns that record into Verify's own observers, so the
-// CLI's observers and metrics see only the measured run. A larger trace
-// gets both auditors on the measured run's decision stream.
+// CLI's observers and metrics see only the measured run. A larger trace,
+// fault runs included, gets the auditor on the measured run's decision
+// stream.
 func runAudit(tr *trace.Trace, opt sim.Options, res *sim.Result, events []obs.Event) error {
 	if tr.Len() <= oracleJobLimit {
 		if err := check.Verify(tr, opt); err != nil {
 			return fmt.Errorf("audit: %w", err)
 		}
-		fmt.Println("audit: OK (auditors, reference oracle and every engine path agree exactly)")
+		fmt.Println("audit: OK (auditor, reference oracle and every engine path agree exactly)")
 		return nil
 	}
 	fmt.Printf("audit: trace has %d jobs, skipping O(n²) oracle comparison (limit %d)\n",
 		tr.Len(), oracleJobLimit)
-	if opt.Faults.Enabled() {
-		// The schedule auditor reconstructs one uninterrupted start per job,
-		// which no longer describes a fault run; the stream auditor carries
-		// the conservation invariants instead (see check.Audit's doc).
-		fmt.Println("audit: fault injection active; skipping the fault-free schedule auditor")
-	} else {
-		rep := check.Audit(tr, opt, events, res)
-		if err := rep.Err(); err != nil {
-			return fmt.Errorf("audit: %w", err)
-		}
-		fmt.Printf("audit: OK (%d jobs, %d events checked)\n", rep.JobsChecked, rep.EventsChecked)
+	rep := check.Audit(tr, opt, events, res)
+	if err := rep.Err(); err != nil {
+		return fmt.Errorf("audit: %w", err)
 	}
-	srep := check.AuditStream(tr, opt, events, res)
-	if err := srep.Err(); err != nil {
-		return fmt.Errorf("stream audit: %w", err)
-	}
-	fmt.Printf("stream audit: OK (%d decision events)\n", srep.EventsChecked)
+	fmt.Printf("audit: OK (%d jobs, %d decision events checked)\n", rep.JobsChecked, rep.EventsChecked)
 	return nil
 }
 

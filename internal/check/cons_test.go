@@ -119,7 +119,7 @@ func TestConservativeStressSweep(t *testing.T) {
 					if err := compareOracle(res, ref); err != nil {
 						t.Errorf("%s: %v", label, err)
 					}
-					if err := AuditStream(tr, opt, rec.Events, res).Err(); err != nil {
+					if err := Audit(tr, opt, rec.Events, res).Err(); err != nil {
 						t.Errorf("%s: %v", label, err)
 					}
 					streamVsOracle(t, label, tr, rec.Events, ref)
@@ -163,7 +163,7 @@ func TestStreamAuditReservationTamper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := AuditStream(tr, opt, rec.Events, res).Err(); err != nil {
+	if err := Audit(tr, opt, rec.Events, res).Err(); err != nil {
 		t.Fatalf("clean conservative stream rejected: %v", err)
 	}
 
@@ -198,7 +198,7 @@ func TestStreamAuditReservationTamper(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rep := AuditStream(tr, opt, tc.corrupt(rec.Events), res)
+			rep := Audit(tr, opt, tc.corrupt(rec.Events), res)
 			if rep.OK() {
 				t.Fatalf("%s went undetected", tc.name)
 			}
@@ -231,7 +231,7 @@ func TestReservationInvariantScoped(t *testing.T) {
 	if res.Violations == 0 {
 		t.Skip("no displaced promise in workload; nothing to scope")
 	}
-	if err := AuditStream(tr, opt, rec.Events, res).Err(); err != nil {
+	if err := Audit(tr, opt, rec.Events, res).Err(); err != nil {
 		t.Fatalf("honest SJF stream with displaced promises must audit clean: %v", err)
 	}
 }

@@ -141,7 +141,7 @@ func TestAuditStreamRejectsDrainedCapacityRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := AuditStream(tr, opt, rec.Events, res).Err(); err != nil {
+	if err := Audit(tr, opt, rec.Events, res).Err(); err != nil {
 		t.Fatalf("clean fault stream must audit clean: %v", err)
 	}
 
@@ -152,7 +152,7 @@ func TestAuditStreamRejectsDrainedCapacityRun(t *testing.T) {
 		}
 		tampered = append(tampered, e)
 	}
-	rep := AuditStream(tr, opt, tampered, res)
+	rep := Audit(tr, opt, tampered, res)
 	if rep.OK() {
 		t.Fatal("auditor accepted a job running on drained capacity")
 	}
@@ -178,7 +178,7 @@ func TestAuditStreamRejectsRequeuePastCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := AuditStream(tr, opt, rec.Events, res).Err(); err != nil {
+	if err := Audit(tr, opt, rec.Events, res).Err(); err != nil {
 		t.Fatalf("clean fault stream must audit clean: %v", err)
 	}
 	if res.Requeued != 1 {
@@ -200,7 +200,7 @@ func TestAuditStreamRejectsRequeuePastCap(t *testing.T) {
 		}
 		tampered = append(tampered, e)
 	}
-	rep := AuditStream(tr, opt, tampered, res)
+	rep := Audit(tr, opt, tampered, res)
 	if rep.OK() {
 		t.Fatal("auditor accepted a requeue past the retry cap")
 	}
@@ -221,13 +221,38 @@ func TestAuditStreamRejectsFaultAccountingTamper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := AuditStream(tr, opt, rec.Events, res).Err(); err != nil {
+	if err := Audit(tr, opt, rec.Events, res).Err(); err != nil {
 		t.Fatalf("clean fault stream must audit clean: %v", err)
 	}
 	c := *res
 	c.WastedCoreSeconds *= 1.001
-	rep := AuditStream(tr, opt, rec.Events, &c)
+	rep := Audit(tr, opt, rec.Events, &c)
 	if rep.OK() {
 		t.Fatal("auditor accepted tampered wasted core-seconds")
+	}
+}
+
+// TestOutageKillEndsMakespan: an attempt an outage kills for good ends at
+// the kill, not at its planned completion, so the makespan (and the
+// utilization over it) stops there — the auditor's makespan is the last
+// completion or interrupt in the stream.
+func TestOutageKillEndsMakespan(t *testing.T) {
+	tr := trace.New(trace.System{Name: "kill", TotalCores: 8})
+	tr.Jobs = []trace.Job{{ID: 0, Submit: 0, Run: 100, Walltime: 120, Procs: 6, VC: -1}}
+	opt := sim.Options{Policy: sim.FCFS, Backfill: sim.EASY,
+		Faults: &fault.Config{
+			Outages:  []fault.Outage{{Part: 0, Start: 50, Duration: 10, Cores: 8}},
+			Recovery: fault.RecoveryNone,
+		}}
+	res, err := sim.Run(tr, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FaultFailed != 1 || res.Makespan != 50 || res.Utilization != 0.75 {
+		t.Fatalf("failed %d, makespan %v, utilization %v; want 1, 50, 0.75",
+			res.FaultFailed, res.Makespan, res.Utilization)
+	}
+	if err := Verify(tr, opt); err != nil {
+		t.Fatal(err)
 	}
 }

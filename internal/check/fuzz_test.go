@@ -63,7 +63,7 @@ func decodeFuzzInput(data []byte) (*trace.Trace, sim.Options) {
 
 // FuzzSimulator decodes arbitrary bytes into a workload + configuration and
 // runs the full differential gate (Verify), whatever the input: the
-// materialized run must pass the auditors and match the O(n²) oracle, and
+// materialized run must pass the auditor and match the O(n²) oracle, and
 // every engine row must reproduce it float for float.
 func FuzzSimulator(f *testing.F) {
 	// Seeds covering each backfill kind, a partitioned system, zero-runtime

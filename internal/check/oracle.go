@@ -6,9 +6,10 @@
 //     inspection — flat slices, a full queue re-sort on every pass, resource
 //     availability recomputed from scratch by scanning the running set, no
 //     heaps and no incremental profiles;
-//   - a schedule auditor (Audit): takes any simulator output and checks hard
-//     invariants (resource conservation, causality, walltime kills, promise
-//     bounds, recomputable metrics) without re-running the scheduler;
+//   - an auditor (Audit): takes any simulator run's decision stream and
+//     Result and checks hard invariants exactly (resource conservation,
+//     causality, walltime kills, promise bounds, recomputed metrics)
+//     without re-running the scheduler;
 //   - a differential harness (Verify): audits the optimized simulator's
 //     output, asserts its schedule matches the oracle's exactly, and runs
 //     every other engine path (streamed, checkpoint-forked) through one exact
@@ -159,6 +160,9 @@ func (o *oracle) run() error {
 				j := &o.jobs[ji]
 				if j.endAt <= t {
 					o.advance(t)
+					if j.endAt > o.makespan {
+						o.makespan = j.endAt
+					}
 					o.free[p] += j.procs
 					if o.free[p] > o.caps[p]-o.downCores(p) {
 						return fmt.Errorf("check: oracle released past capacity in partition %d", p)
@@ -343,9 +347,6 @@ func (o *oracle) start(p, pos int) {
 	o.running[p] = append(o.running[p], ji)
 	if first {
 		o.started++
-	}
-	if j.endAt > o.makespan {
-		o.makespan = j.endAt
 	}
 }
 

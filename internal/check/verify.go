@@ -16,9 +16,8 @@ import (
 // the materialized simulator (sim.Run) once, recording its decision stream,
 // and demands that
 //
-//   - the stream passes the stream auditor (AuditStream) and, on fault-free
-//     runs, the schedule passes the schedule auditor (Audit), whose
-//     one-start-per-job reconstruction does not describe a fault run;
+//   - the run passes the auditor (Audit): its decision stream and Result
+//     against the trace, fault runs included;
 //   - the schedule matches the O(n²) oracle: every wait, promise, status and
 //     counter exactly, the float aggregates to summation-order tolerance;
 //   - every other engine path (see engines) reproduces the materialized run
@@ -33,7 +32,7 @@ func Verify(tr *trace.Trace, opt sim.Options) error {
 }
 
 // verify is Verify with the oracle step optional, for traces beyond the
-// O(n²) oracle's reach: they still get both audits and every engine row.
+// O(n²) oracle's reach: they still get the audit and every engine row.
 func verify(tr *trace.Trace, opt sim.Options, oracle bool) error {
 	opt.Observer, opt.Metrics = nil, nil
 	under := fmt.Sprintf("under %s + %s", opt.Policy, opt.Backfill)
@@ -47,13 +46,8 @@ func verify(tr *trace.Trace, opt sim.Options, oracle bool) error {
 	if err != nil {
 		return fmt.Errorf("check: materialized simulator: %w (%s)", err, under)
 	}
-	if err := AuditStream(tr, opt, rec.Events, mat).Err(); err != nil {
+	if err := Audit(tr, opt, rec.Events, mat).Err(); err != nil {
 		return fmt.Errorf("%w (%s)", err, under)
-	}
-	if !opt.Faults.Enabled() {
-		if err := Audit(tr, opt, rec.Events, mat).Err(); err != nil {
-			return fmt.Errorf("%w (%s)", err, under)
-		}
 	}
 	if oracle {
 		ref, err := Oracle(tr, opt)

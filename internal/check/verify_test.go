@@ -26,8 +26,8 @@ func verifyVCWide(days float64) *synth.Profile {
 const streamPageRows = 2048
 
 // TestStreamDifferentialSweep runs the engine table — the streamed and the
-// checkpoint-forked rows — against the materialized run, with both
-// auditors, for every policy x backfill combination on each verification
+// checkpoint-forked rows — against the materialized run, with the
+// auditor, for every policy x backfill combination on each verification
 // workload plus the seven-partition VerifyVCWide. Two-day traces are
 // beyond the O(n²) oracle, so the oracle step is left out; in exchange
 // VerifyVC and VerifyVCWide outgrow one stream window page, so the window

@@ -45,7 +45,7 @@ type simFault struct {
 	// checkpoint credit, and a terminal failure reclassifies the job's
 	// banked credit as wasted. goodput + wasted therefore equals the busy
 	// integral (up to float summation order), an invariant
-	// check.AuditStream enforces on every fault run.
+	// check.Audit enforces on every fault run.
 	goodput float64
 	wasted  float64
 

@@ -495,7 +495,7 @@ type simulator struct {
 	backfilled     int
 	maxQueueSeen   int
 	started        int
-	makespan       float64
+	makespan       float64 // latest attempt end: completion or interrupt
 	timeline       []QueueSample
 	// timelineShared is set while a checkpoint fork shares timeline's
 	// array (see cloneSimulator); noTimeline turns sampling off for a
@@ -1029,9 +1029,6 @@ func (s *simulator) start(p, pos int) {
 	s.queued--
 	if first {
 		s.started++
-	}
-	if real > s.makespan {
-		s.makespan = real
 	}
 }
 

@@ -8,10 +8,9 @@ import (
 // This file is the out-of-core counterpart of descriptive.go/ecdf.go: the
 // streaming trace pipeline summarizes million-to-ten-million-job inputs
 // without retaining samples. Moments is exact (Welford one-pass);
-// P2Quantile and QuantileSketch are bounded-memory quantile estimators (the
-// classic P² marker method and a merging t-digest); StreamSummary glues
-// them into the same Summary shape Summarize produces from materialized
-// data.
+// QuantileSketch is a bounded-memory quantile estimator (a merging
+// t-digest); StreamSummary glues them into the same Summary shape
+// Summarize produces from materialized data.
 
 // Moments accumulates count, mean, variance, min, max, and sum in one pass
 // using Welford's update. The zero value is ready to use.
@@ -107,114 +106,6 @@ func (m *Moments) Max() float64 {
 
 // Sum returns the running sum.
 func (m *Moments) Sum() float64 { return m.sum }
-
-// P2Quantile estimates a single quantile with the P² algorithm (Jain &
-// Chlamtac 1985): five markers adjusted per observation, O(1) memory and
-// update. Exact for the first five observations. For whole-distribution
-// views use QuantileSketch; P2Quantile is the cheapest option when one
-// fixed quantile is tracked (e.g. a live P99 gauge).
-type P2Quantile struct {
-	p   float64
-	n   int64
-	q   [5]float64 // marker heights
-	pos [5]float64 // actual marker positions (1-based)
-	des [5]float64 // desired marker positions
-	inc [5]float64 // desired-position increments per observation
-}
-
-// NewP2Quantile returns an estimator for the p-th quantile, 0 < p < 1.
-func NewP2Quantile(p float64) *P2Quantile {
-	e := &P2Quantile{p: p}
-	e.pos = [5]float64{1, 2, 3, 4, 5}
-	e.des = [5]float64{1, 1 + 2*p, 1 + 4*p, 3 + 2*p, 5}
-	e.inc = [5]float64{0, p / 2, p, (1 + p) / 2, 1}
-	return e
-}
-
-// Add folds one observation in.
-func (e *P2Quantile) Add(x float64) {
-	e.n++
-	if e.n <= 5 {
-		// Insert into the sorted bootstrap prefix.
-		i := int(e.n) - 1
-		for i > 0 && e.q[i-1] > x {
-			e.q[i] = e.q[i-1]
-			i--
-		}
-		e.q[i] = x
-		return
-	}
-	// Locate the cell and clamp the extremes.
-	var k int
-	switch {
-	case x < e.q[0]:
-		e.q[0] = x
-		k = 0
-	case x >= e.q[4]:
-		e.q[4] = x
-		k = 3
-	default:
-		for k = 0; k < 3; k++ {
-			if x < e.q[k+1] {
-				break
-			}
-		}
-	}
-	for i := k + 1; i < 5; i++ {
-		e.pos[i]++
-	}
-	for i := 0; i < 5; i++ {
-		e.des[i] += e.inc[i]
-	}
-	// Adjust the three interior markers toward their desired positions.
-	for i := 1; i <= 3; i++ {
-		d := e.des[i] - e.pos[i]
-		if (d >= 1 && e.pos[i+1]-e.pos[i] > 1) || (d <= -1 && e.pos[i-1]-e.pos[i] < -1) {
-			s := 1.0
-			if d < 0 {
-				s = -1
-			}
-			// Piecewise-parabolic prediction, falling back to linear when
-			// it would break marker monotonicity.
-			qp := e.parabolic(i, s)
-			if e.q[i-1] < qp && qp < e.q[i+1] {
-				e.q[i] = qp
-			} else {
-				e.q[i] = e.linear(i, s)
-			}
-			e.pos[i] += s
-		}
-	}
-}
-
-func (e *P2Quantile) parabolic(i int, s float64) float64 {
-	num1 := e.pos[i] - e.pos[i-1] + s
-	num2 := e.pos[i+1] - e.pos[i] - s
-	den := e.pos[i+1] - e.pos[i-1]
-	return e.q[i] + s/den*(num1*(e.q[i+1]-e.q[i])/(e.pos[i+1]-e.pos[i])+
-		num2*(e.q[i]-e.q[i-1])/(e.pos[i]-e.pos[i-1]))
-}
-
-func (e *P2Quantile) linear(i int, s float64) float64 {
-	j := i + int(s)
-	return e.q[i] + s*(e.q[j]-e.q[i])/(e.pos[j]-e.pos[i])
-}
-
-// N returns the number of observations.
-func (e *P2Quantile) N() int64 { return e.n }
-
-// Value returns the current estimate (exact while n <= 5), or 0 before any
-// observation.
-func (e *P2Quantile) Value() float64 {
-	if e.n == 0 {
-		return 0
-	}
-	if e.n <= 5 {
-		s := e.q[:e.n]
-		return quantileSorted(s, e.p)
-	}
-	return e.q[2]
-}
 
 // defaultSketchCompression bounds QuantileSketch at roughly 2×compression
 // centroids; 200 keeps the structure around a few KB with observed rank

@@ -110,42 +110,10 @@ func TestMomentsMerge(t *testing.T) {
 
 // rankErr measures estimation error in rank space: how far (in cumulative
 // probability) the estimate sits from the target quantile of the exact
-// ECDF. Rank error is the natural bound for both P² and t-digest sketches —
+// ECDF. Rank error is the natural bound for a t-digest sketch —
 // value-space error is unbounded on heavy tails.
 func rankErr(e *ECDF, estimate, q float64) float64 {
 	return math.Abs(e.At(estimate) - q)
-}
-
-func TestP2QuantileErrorBound(t *testing.T) {
-	for name, xs := range streamTestSamples(100000) {
-		e := NewECDF(xs)
-		for _, q := range []float64{0.5, 0.9, 0.99} {
-			p2 := NewP2Quantile(q)
-			for _, x := range xs {
-				p2.Add(x)
-			}
-			// P² maintains five markers; 5% rank error is its documented
-			// practical envelope on unimodal data and holds with slack on
-			// these shapes.
-			if err := rankErr(e, p2.Value(), q); err > 0.05 {
-				t.Errorf("%s: P2(%v) = %v, rank error %.4f > 0.05", name, q, p2.Value(), err)
-			}
-		}
-	}
-}
-
-func TestP2QuantileExactSmall(t *testing.T) {
-	p2 := NewP2Quantile(0.5)
-	if p2.Value() != 0 {
-		t.Fatal("empty P2 not 0")
-	}
-	xs := []float64{5, 1, 9, 3}
-	for _, x := range xs {
-		p2.Add(x)
-	}
-	if got, want := p2.Value(), Quantile(xs, 0.5); got != want {
-		t.Fatalf("small-n P2 median %v want exact %v", got, want)
-	}
 }
 
 func TestQuantileSketchErrorBound(t *testing.T) {

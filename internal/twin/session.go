@@ -60,6 +60,12 @@ type JobSpec struct {
 	Submit float64 `json:"submit,omitempty"`
 }
 
+// horizon bounds every time a session accepts, in simulated seconds (about
+// 32 million years): the clock, and each job's submit, run and walltime.
+// Within it a job's end stays finite, and so does every time the journal
+// and the replies encode as JSON, which has no infinities.
+const horizon = 1e15
+
 // Session is one digital twin. All methods are safe for concurrent use.
 type Session struct {
 	ID string
@@ -347,6 +353,9 @@ func (s *Session) validateSpec(i int, sp JobSpec, vc int) error {
 		return fmt.Errorf("twin: job %d: negative user %d", i, sp.User)
 	case sp.Submit < 0:
 		return fmt.Errorf("twin: job %d: negative submit %v", i, sp.Submit)
+	case !(sp.Submit <= horizon && sp.Run <= horizon && sp.Walltime <= horizon):
+		return fmt.Errorf("twin: job %d: submit %v, run %v or walltime %v beyond the %v s horizon",
+			i, sp.Submit, sp.Run, sp.Walltime, float64(horizon))
 	case vc < -1 || vc >= s.cfg.Partitions:
 		return fmt.Errorf("twin: job %d: vc %d out of range [0,%d)", i, vc, s.cfg.Partitions)
 	}
@@ -393,6 +402,9 @@ func (s *Session) AdvanceTo(t float64) error {
 func (s *Session) advanceLocked(to float64) error {
 	if s.closed {
 		return ErrClosed
+	}
+	if !(to <= horizon) {
+		return fmt.Errorf("twin: clock %v beyond the %v s horizon", to, float64(horizon))
 	}
 	if to > s.now {
 		s.journalAppendLocked(&record{Op: opAdvance, To: to})

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -315,6 +316,56 @@ func TestWhatIfErrors(t *testing.T) {
 	}
 	if _, err := s.WhatIf(ctx, WhatIfRequest{Candidates: []Candidate{{}}}); !errors.Is(err, ErrEmpty) {
 		t.Fatalf("all-started what-if: %v, want ErrEmpty", err)
+	}
+}
+
+// TestHorizonKeepsSessionDurable: times past the horizon are refused before
+// they reach the clock or the log. Unchecked, two 1.7e308 advances would
+// put the clock at +Inf, which the journal cannot encode (the session would
+// silently turn ephemeral), and a job submitted at and running for
+// 1.7e308 s would end at +Inf and leave every later what-if stuck.
+func TestHorizonKeepsSessionDurable(t *testing.T) {
+	m := testManager(t, Config{StateDir: t.TempDir()})
+	s, err := m.Create(SessionConfig{Cores: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := s.AdvanceBy(1.7e308); err == nil {
+			t.Fatalf("advance %d past the horizon accepted", i)
+		}
+	}
+	if err := s.AdvanceTo(math.NaN()); err == nil {
+		t.Fatal("advance to NaN accepted")
+	}
+	for _, sp := range []JobSpec{
+		{Procs: 1, Run: 1.7e308, Submit: 1.7e308},
+		{Procs: 1, Run: math.NaN()},
+		{Procs: 1, Run: 1, Walltime: math.Inf(1)},
+	} {
+		if _, err := s.Submit([]JobSpec{sp}); err == nil {
+			t.Fatalf("job past the horizon accepted: %+v", sp)
+		}
+	}
+	// The boundary itself is fine, and the session keeps working.
+	if _, err := s.Submit([]JobSpec{{Procs: 1, Run: 10}, {Procs: 8, Run: horizon, Submit: horizon}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AdvanceTo(horizon); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.WhatIf(context.Background(), WhatIfRequest{Candidates: []Candidate{{Policy: "sjf"}}}); err != nil {
+		t.Fatalf("what-if after boundary times: %v", err)
+	}
+	snap, err := s.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !snap.Durable || snap.Ephemeral || snap.Now != horizon {
+		t.Fatalf("session lost durability or its clock: %+v", snap)
+	}
+	if _, err := json.Marshal(snap); err != nil {
+		t.Fatalf("status no longer encodes: %v", err)
 	}
 }
 
