@@ -38,11 +38,11 @@ func TestHotPathAllocs(t *testing.T) {
 		runs int
 		run  func() error
 	}{
-		{"Run", 4, 100, func() error { _, err := sim.Run(tr, opt); return err }},
-		{"RunStream", 3, 100, func() error { _, err := sim.RunStream(trace.NewSliceStream(tr), opt, sink); return err }},
+		{"Run", 3, 100, func() error { _, err := sim.Run(tr, opt); return err }},
+		{"RunStream", 2, 100, func() error { _, err := sim.RunStream(trace.NewSliceStream(tr), opt, sink); return err }},
 		// A fresh Runner per run, as one schedsim -stream process pays:
 		// window pages, arena and queue growth included.
-		{"RunStream/cold", 75, 5, func() error {
+		{"RunStream/cold", 74, 5, func() error {
 			_, err := sim.NewRunner().RunStream(trace.NewSliceStream(tr), opt, sink)
 			return err
 		}},

@@ -83,7 +83,7 @@ type oracle struct {
 }
 
 // Oracle schedules tr under opt with the naive reference implementation and
-// returns the same Result shape as sim.Run (QueueTimeline is not produced).
+// returns the same Result shape as sim.Run.
 // For any deterministic option set, sim.Run and Oracle must agree exactly on
 // every job's start time; Verify asserts this.
 func Oracle(tr *trace.Trace, opt sim.Options) (*sim.Result, error) {

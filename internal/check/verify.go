@@ -225,7 +225,7 @@ func nearlyEq(a, b float64) bool {
 // compareOracle returns an error naming the disagreements between the
 // materialized result and the oracle's. Start times, promises, statuses and
 // every counter must match exactly; float aggregates must match to
-// tolerance. The oracle produces no queue timeline.
+// tolerance.
 func compareOracle(fast, ref *sim.Result) error {
 	var bad []string
 	addf := func(format string, args ...interface{}) {

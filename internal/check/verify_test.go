@@ -58,8 +58,8 @@ func TestStreamDifferentialSweep(t *testing.T) {
 
 // TestEngineComparisonNamesField proves the engine comparison has teeth:
 // an engine whose run differs from the materialized one in a single row,
-// queue-timeline sample, decision event, fault counter or summary wait
-// fails with an error naming that field.
+// promise, decision event, fault counter or summary wait fails with an
+// error naming that field.
 func TestEngineComparisonNamesField(t *testing.T) {
 	tr := verifyTrace(t, synth.VerifyHPC(0.2), 7)
 	opt := sim.Options{Policy: sim.FCFS, Backfill: sim.EASY, Faults: faultScenarios()["mixed"]}
@@ -82,7 +82,7 @@ func TestEngineComparisonNamesField(t *testing.T) {
 		tamper func(r *engineRun)
 	}{
 		{"Result.Jobs[5].Wait", func(r *engineRun) { r.res.Jobs[5].Wait++ }},
-		{"Result.QueueTimeline[3].Length", func(r *engineRun) { r.res.QueueTimeline[3].Length++ }},
+		{"Result.PromisedStart[3]", func(r *engineRun) { r.res.PromisedStart[3]++ }},
 		{"events[10].Detail", func(r *engineRun) { r.events[10].Detail += 0.5 }},
 		{"Result.Requeued", func(r *engineRun) { r.res.Requeued++ }},
 		{"Summary.Waits[5]", func(r *engineRun) { r.sum.Waits[5]++ }},

@@ -114,13 +114,6 @@ func (c *Cluster) Capacity(p int) int {
 	return c.caps[c.norm(p)]
 }
 
-// EffectiveCapacity returns the capacity of partition p currently usable by
-// the scheduler: nominal capacity minus drained cores.
-func (c *Cluster) EffectiveCapacity(p int) int {
-	i := c.norm(p)
-	return c.caps[i] - c.down[i]
-}
-
 // DownCores returns the drained core count of partition p.
 func (c *Cluster) DownCores(p int) int {
 	return c.down[c.norm(p)]

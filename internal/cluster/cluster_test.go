@@ -24,7 +24,7 @@ func TestNewAndAccessors(t *testing.T) {
 	if c.Busy() != 0 || c.FreeTotal() != 100 {
 		t.Fatal("fresh cluster should be idle")
 	}
-	if c.EffectiveCapacity(0) != 100 || c.DownCores(0) != 0 {
+	if c.Capacity(0)-c.DownCores(0) != 100 || c.DownCores(0) != 0 {
 		t.Fatal("fresh cluster should have no drained capacity")
 	}
 }
@@ -110,9 +110,9 @@ func TestDrainRestore(t *testing.T) {
 	if err := c.Drain(1, 0, 3); err != nil {
 		t.Fatal(err)
 	}
-	if c.Free(0) != 3 || c.DownCores(0) != 3 || c.EffectiveCapacity(0) != 7 || c.Busy() != 4 {
+	if c.Free(0) != 3 || c.DownCores(0) != 3 || c.Capacity(0)-c.DownCores(0) != 7 || c.Busy() != 4 {
 		t.Fatalf("after drain: free=%d down=%d eff=%d busy=%d",
-			c.Free(0), c.DownCores(0), c.EffectiveCapacity(0), c.Busy())
+			c.Free(0), c.DownCores(0), c.Capacity(0)-c.DownCores(0), c.Busy())
 	}
 	if c.Capacity(0) != 10 {
 		t.Fatal("nominal capacity changed by drain")
@@ -131,7 +131,7 @@ func TestDrainRestore(t *testing.T) {
 	if err := c.Restore(3, 0, 3); err != nil {
 		t.Fatal(err)
 	}
-	if c.Free(0) != 10 || c.DownCores(0) != 0 || c.EffectiveCapacity(0) != 10 {
+	if c.Free(0) != 10 || c.DownCores(0) != 0 || c.Capacity(0)-c.DownCores(0) != 10 {
 		t.Fatalf("after restore: free=%d down=%d", c.Free(0), c.DownCores(0))
 	}
 	if err := c.Restore(3, 0, 1); err == nil {
@@ -258,7 +258,7 @@ func TestConservationPropertyQuick(t *testing.T) {
 				if c.DownCores(i) < 0 || c.DownCores(i) > c.Capacity(i) {
 					return false
 				}
-				if c.Free(i) > c.EffectiveCapacity(i) {
+				if c.Free(i) > c.Capacity(i)-c.DownCores(i) {
 					return false
 				}
 			}

@@ -274,12 +274,6 @@ func (f *Fork) Run(ctx context.Context) (*Result, error) {
 	if err := f.run(ctx); err != nil {
 		return nil, err
 	}
-	// A fork that took no sample still shares the checkpoint's samples, so
-	// its Result gets a copy (after samples of its own, a full slice is a
-	// coincidence and the copy merely redundant).
-	if len(f.s.timeline) == cap(f.s.timeline) {
-		f.s.timeline = slices.Clone(f.s.timeline)
-	}
 	return f.s.result(nil)
 }
 
@@ -299,10 +293,8 @@ type Summary struct {
 
 // RunSummary drives the fork to completion like Run, but returns only the
 // Summary of the Result Run would return. It skips what Run copies: the
-// jobs, and the queue timeline, which it does not sample. Waits is the
-// fork's own waits slice, handed over without a copy.
+// jobs. Waits is the fork's own waits slice, handed over without a copy.
 func (f *Fork) RunSummary(ctx context.Context) (*Summary, error) {
-	f.s.noTimeline = true
 	if err := f.run(ctx); err != nil {
 		return nil, err
 	}
@@ -356,15 +348,12 @@ func (r *Result) Summary() *Summary {
 // can run independently. Authoritative state — the in-flight arena and its
 // free list, queues, completion heap, cluster, fair-share accounts, the
 // per-arrival waits and promises, every counter, and the fault layer's
-// per-job state — is deep-copied; the jobs are shared read-only; so is the
-// queue timeline, whose samples src only appends past the fork's length or
-// thins into a fresh array (see sampleQueue), and which the fork's own
-// first sample reallocates; the compiled fault schedule and config are
-// immutable and shared; pure caches (score sort, profile, shadow,
-// backfill-scan memo, conservative plan) are dropped instead, which the
-// cache invariants already prove changes no scheduling decision, only
-// re-derivation work. The event tap
-// is not copied: forks are headless.
+// per-job state — is deep-copied; the jobs are shared read-only; the
+// compiled fault schedule and config are immutable and shared; pure caches
+// (score sort, profile, shadow, backfill-scan memo, conservative plan) are
+// dropped instead, which the cache invariants already prove changes no
+// scheduling decision, only re-derivation work. The event tap is not
+// copied: forks are headless.
 // dst must be fresh (zero) storage; its context is set by the caller.
 func cloneSimulator(dst, src *simulator) {
 	dst.opt = src.opt
@@ -382,9 +371,6 @@ func cloneSimulator(dst, src *simulator) {
 	dst.compl.items = slices.Clone(src.compl.items)
 	rows := &src.rows.pages[0]
 	dst.rows.single(rowPage{jobs: rows.jobs, waits: slices.Clone(rows.waits), promised: slices.Clone(rows.promised)})
-	n := len(src.timeline)
-	dst.timeline = src.timeline[:n:n]
-	src.timelineShared = true
 	dst.touched = make([]bool, len(src.parts))
 
 	dst.parts = make([]partState, len(src.parts))

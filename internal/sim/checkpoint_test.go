@@ -135,8 +135,7 @@ func TestCheckpointForkMatchesColdRun(t *testing.T) {
 // checkpoint paused deep into a 4k-job log holds no more live arena slots
 // than jobs queued plus running — the arena is sized by what is in flight,
 // not by the log — its queues equal the source's element for element
-// (slots and scan mirrors), with nothing re-anchored, and it shares the
-// source's queue timeline instead of copying it. The fork must still
+// (slots and scan mirrors), with nothing re-anchored. The fork must still
 // finish like a cold run.
 func TestForkCopiesOnlyInFlight(t *testing.T) {
 	tr := randomTrace(17, 4000, 64)
@@ -163,9 +162,6 @@ func TestForkCopiesOnlyInFlight(t *testing.T) {
 				t.Fatal(err)
 			}
 			src, dst := &ck.s, &f.s
-			if n := len(src.timeline); n == 0 || len(dst.timeline) != n || cap(dst.timeline) != n || &dst.timeline[0] != &src.timeline[0] {
-				t.Errorf("fork holds a timeline of %d/%d samples apart from the source's %d: a copy", len(dst.timeline), cap(dst.timeline), n)
-			}
 			inFlight := dst.queued + dst.compl.len()
 			if live := len(dst.slots) - len(dst.freeSlots); live > inFlight {
 				t.Errorf("fork holds %d live slots for %d jobs in flight", live, inFlight)
@@ -193,14 +189,13 @@ func TestForkCopiesOnlyInFlight(t *testing.T) {
 	}
 }
 
-// TestForkSharedTimelineSurvivesThinning: forks share the checkpoint's
-// queue timeline, and a checkpoint advanced past a thinning must not
-// overwrite the samples they hold. Two forks are taken early; the
-// checkpoint then advances through more than 2*maxTimelineSamples samples
-// while one fork runs concurrently (the race detector's pin) and the other
-// waits until it is done (the pin without it). Both must still match the
-// cold run, and a third fork run through RunSummary takes no sample.
-func TestForkSharedTimelineSurvivesThinning(t *testing.T) {
+// TestForkRunsWhileCheckpointAdvances: forks share the checkpoint's jobs
+// read-only, and a checkpoint advanced to the end must not disturb what
+// they hold. Three forks are taken early; the checkpoint then advances
+// through the rest of the log while one fork runs concurrently (the race
+// detector's pin) and the others wait until it is done (the pin without
+// it). Run and RunSummary must still match the cold run.
+func TestForkRunsWhileCheckpointAdvances(t *testing.T) {
 	tr := randomTrace(5, 6000, 64)
 	opt := Options{Policy: FCFS, Backfill: EASY}
 	want, err := Run(tr, opt)
@@ -217,7 +212,6 @@ func TestForkSharedTimelineSurvivesThinning(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	shared := len(ck.s.timeline)
 	type outcome struct {
 		res *Result
 		err error
@@ -230,9 +224,6 @@ func TestForkSharedTimelineSurvivesThinning(t *testing.T) {
 	if err := ck.AdvanceTo(math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
-	if ck.s.timelineShared {
-		t.Fatalf("the checkpoint never thinned its %d-sample timeline after the fork", shared)
-	}
 	concurrent := <-done
 	if concurrent.err != nil {
 		t.Fatal(concurrent.err)
@@ -242,15 +233,12 @@ func TestForkSharedTimelineSurvivesThinning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckSameResult(t, "fork run after the thinning", later, want)
+	ckSameResult(t, "fork run after the advance", later, want)
 	sum, err := forks[2].RunSummary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ckSameResult(t, "summary fork", sum, want.Summary())
-	if n := len(forks[2].s.timeline); n != shared {
-		t.Errorf("RunSummary sampled the queue: %d samples, forked with %d", n, shared)
-	}
 }
 
 // TestCheckpointForkWithAvailHead: without walltimes the planned end is the

@@ -24,8 +24,8 @@ import (
 // Correctness model: every piece of retained state is either reset on
 // acquire (truncated slices, zeroed counters, cleared caches) or rebuilt
 // when its shape no longer matches the trace, and nothing that escapes into
-// a Result is ever reused — Result.Jobs, PromisedStart, and QueueTimeline
-// are freshly allocated per run. Runner results are therefore
+// a Result is ever reused — Result.Jobs and PromisedStart are freshly
+// allocated per run. Runner results are therefore
 // float-for-float identical to a fresh run's; TestRunnerReuseMatchesFresh
 // and the internal/check oracle sweep pin that invariant. Because the reset
 // happens at the START of each run, a Runner abandoned mid-run (context
@@ -191,26 +191,19 @@ func (s *simulator) reset(ctx context.Context, tr *trace.Trace, opt Options, cl 
 	} else {
 		s.matWaits = make([]float64, n)
 	}
-	// promised and timeline escape into the Result (PromisedStart,
-	// QueueTimeline), so they are the two per-run allocations that reuse
-	// cannot amortize.
+	// promised escapes into the Result (PromisedStart), so it is the one
+	// per-run allocation that reuse cannot amortize.
 	promised := make([]float64, n)
 	for i := range promised {
 		promised[i] = -1
 	}
 	s.rows.single(rowPage{jobs: tr.Jobs, waits: s.matWaits, promised: promised})
-	timelineCap := 2 * n
-	if timelineCap > 2*maxTimelineSamples {
-		timelineCap = 2 * maxTimelineSamples
-	}
-	s.timeline = make([]QueueSample, 0, timelineCap)
-	s.timelineShared = false
 }
 
 // resetCore reinitializes the state shared by the materialized and streaming
-// paths: everything except the per-arrival rows and the timeline, whose
-// sizing and ownership differ between the two (reset makes the trace one
-// row page; resetStream in stream.go starts an empty paged window).
+// paths: everything except the per-arrival rows, whose sizing and
+// ownership differ between the two (reset makes the trace one row page;
+// resetStream in stream.go starts an empty paged window).
 func (s *simulator) resetCore(ctx context.Context, opt Options, cl *cluster.Cluster, nParts int) {
 	s.opt = opt
 	s.cl = cl

@@ -102,7 +102,9 @@ type Result struct {
 	// Utilization is busy core-seconds / (capacity x makespan)
 	// (paper's "util").
 	Utilization float64
-	// Makespan is the completion time of the last job.
+	// Makespan is the latest attempt end: the last job completion, or a
+	// later fault interrupt that kills an attempt for good (the job fails
+	// with no retry left; a requeued job's later attempt ends after it).
 	Makespan float64
 	// Violations counts reserved queue-head jobs whose actual start was
 	// later than their first promised start (paper's "violation").
@@ -113,9 +115,6 @@ type Result struct {
 	Backfilled int
 	// MaxQueueLen is the maximum waiting-queue length observed.
 	MaxQueueLen int
-	// QueueTimeline samples the total waiting-queue length at event
-	// times (thinned to at most maxTimelineSamples points).
-	QueueTimeline []QueueSample
 	// PromisedStart is each job's first promised (reserved) start time,
 	// aligned with Jobs; -1 for jobs that never became a blocked queue
 	// head. Violations compare actual starts against these promises.
@@ -136,15 +135,6 @@ type Result struct {
 	GoodputCoreSeconds float64
 	WastedCoreSeconds  float64
 }
-
-// QueueSample is one point of the queue-length timeline.
-type QueueSample struct {
-	Time   float64
-	Length int
-}
-
-// maxTimelineSamples caps the timeline size for very long simulations.
-const maxTimelineSamples = 4096
 
 // maxFitBound is partState.fitBound before any queued job is counted.
 const maxFitBound = math.MaxInt
@@ -496,31 +486,6 @@ type simulator struct {
 	maxQueueSeen   int
 	started        int
 	makespan       float64 // latest attempt end: completion or interrupt
-	timeline       []QueueSample
-	// timelineShared is set while a checkpoint fork shares timeline's
-	// array (see cloneSimulator); noTimeline turns sampling off for a
-	// fork that folds no Result (Fork.RunSummary).
-	timelineShared bool
-	noTimeline     bool
-}
-
-// sampleQueue appends a queue-length sample, thinning by halving once the
-// cap is reached (keeps coverage of the whole run, bounded memory). The
-// thinning is copy-on-thin: it halves in place unless a fork shares the
-// array, whose samples it would overwrite; then it halves into a fresh one.
-func (s *simulator) sampleQueue(t float64) {
-	s.timeline = append(s.timeline, QueueSample{Time: t, Length: s.queued})
-	if len(s.timeline) >= 2*maxTimelineSamples {
-		kept := s.timeline[:0]
-		if s.timelineShared {
-			kept = make([]QueueSample, 0, cap(s.timeline))
-			s.timelineShared = false
-		}
-		for i := 0; i < len(s.timeline); i += 2 {
-			kept = append(kept, s.timeline[i])
-		}
-		s.timeline = kept
-	}
 }
 
 // Run simulates scheduling of tr under opt and returns the metrics.
@@ -810,9 +775,6 @@ func (s *simulator) runUntil(pause float64) error {
 			if err := s.schedule(p); err != nil {
 				return err
 			}
-		}
-		if !s.noTimeline {
-			s.sampleQueue(t)
 		}
 		// Retire the completed window prefix out to the sink: rows leave in
 		// arrival order, keeping the working set O(active + lookahead).
@@ -1317,7 +1279,6 @@ func (s *simulator) result(tr *trace.Trace) (*Result, error) {
 		Backfilled:     s.backfilled,
 		MaxQueueLen:    s.maxQueueSeen,
 		Makespan:       s.makespan,
-		QueueTimeline:  s.timeline,
 		PromisedStart:  rows.promised,
 	}
 	if f := s.flt; f != nil {
@@ -1338,24 +1299,8 @@ func (s *simulator) result(tr *trace.Trace) (*Result, error) {
 		w := rows.waits[i]
 		res.Jobs[i].Wait = w
 		sumWait += w
-		// Job.BoundedSlowdown inlined (identical branches and float ops, so
-		// the sum is bit-identical); the method's by-value receiver would
-		// copy the whole Job record per call on this hot summary loop.
-		// Every job has started here, so wait >= 0 and turnaround = wait+run.
-		run := res.Jobs[i].Run
-		r := run
-		if r < tau {
-			r = tau
-		}
-		if r <= 0 {
-			sumBsld++
-			continue
-		}
-		bsld := (w + run) / r
-		if bsld < 1 {
-			bsld = 1
-		}
-		sumBsld += bsld
+		// Every job has started here, so wait >= 0.
+		sumBsld += trace.Bsld(w, res.Jobs[i].Run, tau)
 	}
 	n := float64(len(res.Jobs))
 	if n > 0 {

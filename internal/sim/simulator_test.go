@@ -539,34 +539,3 @@ func TestDeterminism(t *testing.T) {
 		t.Fatal("nondeterministic counters")
 	}
 }
-
-func TestQueueTimeline(t *testing.T) {
-	tr := randomTrace(3, 300, 16)
-	res, err := Run(tr, Options{Policy: FCFS, Backfill: EASY})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.QueueTimeline) == 0 {
-		t.Fatal("no timeline samples")
-	}
-	if len(res.QueueTimeline) >= 2*maxTimelineSamples {
-		t.Fatalf("timeline not thinned: %d samples", len(res.QueueTimeline))
-	}
-	maxSeen := 0
-	prevT := -1.0
-	for _, s := range res.QueueTimeline {
-		if s.Time < prevT {
-			t.Fatal("timeline not time-ordered")
-		}
-		prevT = s.Time
-		if s.Length < 0 {
-			t.Fatal("negative queue length")
-		}
-		if s.Length > maxSeen {
-			maxSeen = s.Length
-		}
-	}
-	if maxSeen > res.MaxQueueLen {
-		t.Fatalf("timeline max %d exceeds reported max %d", maxSeen, res.MaxQueueLen)
-	}
-}

@@ -34,7 +34,7 @@ type StreamSink func(StreamRow) error
 //
 // Results are float-for-float identical to materializing the stream and
 // calling Run — same AvgWait, AvgBsld, Utilization, Makespan, counters,
-// QueueTimeline, and the same decision-event stream through opt.Observer —
+// and the same decision-event stream through opt.Observer —
 // except that Result.Jobs and Result.PromisedStart are nil (their contents
 // went to the sink as rows). Fault injection (opt.Faults) is not supported:
 // its per-job state and fault-schedule horizon need the whole trace.
@@ -241,9 +241,6 @@ func (s *simulator) resetStream(ctx context.Context, opt Options, cl *cluster.Cl
 	in.sumWait = 0
 	in.sumBsld = 0
 	s.in = in
-	// The timeline escapes into the Result; its thinning caps it at
-	// 2*maxTimelineSamples regardless of stream length.
-	s.timeline = make([]QueueSample, 0, 2*maxTimelineSamples)
 }
 
 // streamArrival admits the lookahead job when it is due at t, returning
@@ -295,8 +292,8 @@ func (s *simulator) winAdmit(j trace.Job) *trace.Job {
 
 // retireStream flushes the completed prefix of the window to the sink in
 // arrival order, folding each row into the running aggregates with the
-// same float operations result() uses (see the inlined bounded-slowdown
-// there), so the streaming averages are bit-identical to materialized ones.
+// same float operations result() uses (trace.Bsld per row), so the
+// streaming averages are bit-identical to materialized ones.
 func (s *simulator) retireStream() error {
 	in := s.in
 	tau := s.opt.BsldTau
@@ -309,20 +306,7 @@ func (s *simulator) retireStream() error {
 		w := pg.waits[i]
 		j.Wait = w
 		in.sumWait += w
-		run := j.Run
-		r := run
-		if r < tau {
-			r = tau
-		}
-		if r <= 0 {
-			in.sumBsld++
-		} else {
-			bsld := (w + run) / r
-			if bsld < 1 {
-				bsld = 1
-			}
-			in.sumBsld += bsld
-		}
+		in.sumBsld += trace.Bsld(w, j.Run, tau)
 		if in.sink != nil {
 			if err := in.sink(StreamRow{Job: j, Promised: pg.promised[i]}); err != nil {
 				return fmt.Errorf("sim: stream sink failed after %d rows: %w", in.retired, err)
@@ -350,7 +334,6 @@ func (s *simulator) streamResult() *Result {
 		Backfilled:     s.backfilled,
 		MaxQueueLen:    s.maxQueueSeen,
 		Makespan:       s.makespan,
-		QueueTimeline:  s.timeline,
 	}
 	if n := float64(in.retired); n > 0 {
 		res.AvgWait = in.sumWait / n

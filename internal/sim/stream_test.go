@@ -301,7 +301,7 @@ func TestStreamEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.AvgWait != 0 || res.Makespan != 0 || len(res.QueueTimeline) != 0 {
+	if res.AvgWait != 0 || res.Makespan != 0 {
 		t.Fatalf("empty stream result not zero: %+v", res)
 	}
 }

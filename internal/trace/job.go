@@ -123,16 +123,29 @@ func (j Job) Slowdown() float64 {
 
 // BoundedSlowdown returns the bounded slowdown max(turnaround/max(run,tau),1)
 // with interactivity threshold tau seconds (Feitelson's bsld; the paper uses
-// tau = 10s).
+// tau = 10s). A negative (unknown) Wait counts as no wait, as in Turnaround.
 func (j Job) BoundedSlowdown(tau float64) float64 {
-	r := j.Run
+	wait := 0.0
+	if j.Wait >= 0 {
+		wait = j.Wait
+	}
+	return Bsld(wait, j.Run, tau)
+}
+
+// Bsld is the bounded slowdown of a job that waited wait seconds and ran
+// run seconds: max((wait+run)/max(run,tau),1), and 1 when max(run,tau) is
+// not positive. It is the one bsld formula: the simulator's and the twin's
+// per-job folds call it with float arguments, so they pay no Job record
+// copy, and their sums stay bit-identical to BoundedSlowdown's.
+func Bsld(wait, run, tau float64) float64 {
+	r := run
 	if r < tau {
 		r = tau
 	}
 	if r <= 0 {
 		return 1
 	}
-	s := j.Turnaround() / r
+	s := (wait + run) / r
 	if s < 1 {
 		return 1
 	}

@@ -83,9 +83,8 @@ func BenchmarkTwinDeepSession(b *testing.B) {
 // checkpoint: BenchmarkTwinDeepSession's 25 x 150-job script (3,750 jobs)
 // submitted and advanced to its final clock, then forked once per op. A
 // fork copies the paused simulator's in-flight state and the per-arrival
-// waits and promises, and shares the queue timeline; B/op is the number to
-// watch (76 KB on a 2-core Xeon, Go 1.24; 215 KB while forks copied the
-// timeline at its capacity).
+// waits and promises; B/op is the number to watch (76 KB on a 2-core Xeon,
+// Go 1.24).
 func BenchmarkCheckpointFork(b *testing.B) {
 	const cores = 512
 	batches, advances := deepBatches(25, cores)

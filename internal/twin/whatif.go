@@ -398,17 +398,9 @@ func score(c Candidate, jobs []trace.Job, res *sim.Summary, pending []bool, nPen
 		if !pending[i] {
 			continue
 		}
-		wait, run := res.Waits[i], jobs[i].Run
+		wait := res.Waits[i]
 		waitSum += wait
-		r := run
-		if r < tau {
-			r = tau
-		}
-		bsld := (wait + run) / r
-		if bsld < 1 {
-			bsld = 1
-		}
-		bsldSum += bsld
+		bsldSum += trace.Bsld(wait, jobs[i].Run, tau)
 	}
 	return Outcome{
 		Candidate:   c,
