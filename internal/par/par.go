@@ -52,8 +52,8 @@ type Pool struct {
 	// set, else GOMAXPROCS.
 	Workers int
 	// OnDone, when non-nil, is called after each task finishes (in the
-	// worker goroutine, so implementations must be concurrency-safe; err is
-	// nil for a successful task). Used for progress reporting on long
+	// goroutine that ran it, so implementations must be concurrency-safe;
+	// err is nil for a successful task). Used for progress reporting on long
 	// sweeps.
 	OnDone func(i int, err error)
 }
@@ -68,9 +68,11 @@ type taskPanic struct {
 // ForEach runs fn(ctx, 0..n-1) on the pool and waits for completion. Every
 // task runs (or is skipped due to cancellation) exactly once; the returned
 // error is the lowest-index task error, so repeated runs fail identically
-// regardless of scheduling. A task panic is re-raised on the caller's
-// goroutine once the pool has drained, wrapped with the task index and
-// carrying the worker's stack.
+// regardless of scheduling. The calling goroutine is one of the workers,
+// so a fan-out of short tasks it finishes on its own costs no hand-off to
+// another goroutine. A task panic is re-raised on the caller's goroutine
+// once the pool has drained, wrapped with the task index and carrying the
+// worker's stack.
 func (p *Pool) ForEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return nil
@@ -134,9 +136,10 @@ func (p *Pool) ForEach(ctx context.Context, n int, fn func(ctx context.Context, 
 		}
 	}
 	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		go worker()
 	}
+	worker() // the caller is one of the workers
 	wg.Wait()
 
 	if len(panics) > 0 {

@@ -107,14 +107,6 @@ func (ck *Checkpoint) start(cl *cluster.Cluster, tap obs.Observer) error {
 	return ck.s.runUntil(ck.pauseAt)
 }
 
-// PausedAt returns the checkpoint's pause time: every event strictly before
-// it has been processed.
-func (ck *Checkpoint) PausedAt() float64 {
-	ck.mu.Lock()
-	defer ck.mu.Unlock()
-	return ck.pauseAt
-}
-
 // Len returns the number of jobs in the checkpoint's trace.
 func (ck *Checkpoint) Len() int {
 	ck.mu.Lock()

@@ -345,7 +345,8 @@ func TestCheckpointAdvanceAndExtend(t *testing.T) {
 func TestCheckpointExtendRejectsPast(t *testing.T) {
 	tr := ckTrace(t)
 	opt := Options{Policy: FCFS, Backfill: EASY}
-	ck, err := RunToCheckpoint(tr, opt, tr.Jobs[len(tr.Jobs)-1].Submit+1)
+	pause := tr.Jobs[len(tr.Jobs)-1].Submit + 1
+	ck, err := RunToCheckpoint(tr, opt, pause)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +354,7 @@ func TestCheckpointExtendRejectsPast(t *testing.T) {
 	if err := ck.Extend([]trace.Job{late}); err == nil {
 		t.Fatal("extend accepted an arrival before the pause time")
 	}
-	huge := trace.Job{ID: 1000, Submit: ck.PausedAt() + 1, Wait: -1, Run: 10, Procs: 1 << 20, VC: 0, Status: trace.Passed}
+	huge := trace.Job{ID: 1000, Submit: pause + 1, Wait: -1, Run: 10, Procs: 1 << 20, VC: 0, Status: trace.Passed}
 	if err := ck.Extend([]trace.Job{huge}); err == nil {
 		t.Fatal("extend accepted a job larger than its partition")
 	}

@@ -55,7 +55,7 @@ func FuzzSessionMatchesFullReplay(f *testing.F) {
 		var limits Config
 		if in.next()%4 == 0 {
 			// fuzzWhatIf's largest fan-out: a session that queries more
-			// distinct configurations forks transient checkpoints.
+			// distinct configurations forks builds it does not keep.
 			limits.MaxCandidates = 3
 		}
 		s, err := newSession("fuzz", cfg, limits.withDefaults())

@@ -19,8 +19,9 @@ import (
 // journal. It is trivially correct because a Session IS a deterministic
 // replay of its submission log: the journal records exactly the inputs
 // (create, submit, advance), and recovery re-derives every byte of session
-// state — schedule, published event prefix, clock — by replaying them
-// through the same pooled sim.Runner the live session uses.
+// state — schedule, published event prefix, clock — by running the logged
+// jobs up to the logged clock once with sim.RunToCheckpoint, which builds
+// the same baseline checkpoint the live session kept incrementally.
 //
 // Wire format: one frame per record, newline-terminated —
 //
@@ -33,7 +34,7 @@ import (
 // prefix before it survives — instead of failing startup.
 //
 // Journals rotate into numbered segment files (000001.wal, 000002.wal, …)
-// once a segment passes SegmentBytes, bounding single-file size; replay
+// once a segment passes 1 MiB, bounding single-file size; replay
 // reads segments in order and a bad frame drops the rest of its segment
 // and all later segments.
 
@@ -90,12 +91,9 @@ const (
 )
 
 // Journal record operations. A record is one JSON object whose "op" field
-// names the mutation; recovery replays them in order. "config" reserves a
-// slot for post-create configuration changes (accepted on replay, written
-// by nothing yet).
+// names the mutation; recovery replays them in order.
 const (
 	opCreate  = "create"
-	opConfig  = "config"
 	opSubmit  = "submit"
 	opAdvance = "advance"
 )
@@ -103,7 +101,7 @@ const (
 // record is the journal's JSON payload, a union over the ops.
 type record struct {
 	Op string `json:"op"`
-	// create/config: the session identity and resolved configuration.
+	// create: the session identity and resolved configuration.
 	ID  string         `json:"id,omitempty"`
 	Cfg *journalConfig `json:"cfg,omitempty"`
 	// submit: the staged jobs, post-clamp (replay appends them verbatim).
@@ -464,7 +462,7 @@ func parseFrames(data []byte) ([]record, int64) {
 			break
 		}
 		switch rec.Op {
-		case opCreate, opConfig, opSubmit, opAdvance:
+		case opCreate, opSubmit, opAdvance:
 		default:
 			// Unknown op: a version skew or corruption that passed the
 			// CRC; stop here rather than misinterpret the rest.

@@ -404,7 +404,7 @@ func FuzzJournalReplay(f *testing.F) {
 			var rec record
 			ok := json.Unmarshal(p, &rec) == nil
 			switch rec.Op {
-			case opCreate, opConfig, opSubmit, opAdvance:
+			case opCreate, opSubmit, opAdvance:
 			default:
 				ok = false
 			}

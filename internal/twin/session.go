@@ -85,14 +85,10 @@ type Session struct {
 	// mutation replays the log. Its tap records every event it processes —
 	// exactly the events strictly before the clock, i.e. the published
 	// prefix — and keeps the job-class counters Status reports.
-	base *sim.Checkpoint
-	tap  baseTap
-	// baseRes is the Summary of the baseline's full run, which depends on
-	// the log but not on the clock: computed by a what-if's fork of base
-	// and kept until the next Submit.
-	baseRes *sim.Summary
-	hub     *obs.Hub
-	closed  bool
+	base   *sim.Checkpoint
+	tap    baseTap
+	hub    *obs.Hub
+	closed bool
 
 	// jr is the session's write-ahead journal (nil for in-memory-only
 	// sessions). A failed journal write flips ephemeral: the journal is
@@ -106,9 +102,10 @@ type Session struct {
 	// warm holds one paused simulation per candidate configuration (keyed
 	// policy|backfill|relax, plus the fault spec of a fault-injected one;
 	// see configKey), kept at the session clock so a what-if forks it
-	// instead of replaying from t=0. Guarded by its own mutex: warming up
-	// serializes, but forks run outside it and never block Submit/Advance
-	// on s.mu.
+	// instead of replaying from t=0. A what-if holds warmMu from its
+	// snapshot through every entry's catch-up and fork (lock order warmMu
+	// → s.mu); the forks run outside both, and Submit and Advance never
+	// take warmMu.
 	warmMu sync.Mutex
 	warm   map[string]*sim.Checkpoint
 }
@@ -195,7 +192,6 @@ func (s *Session) startBaseline(jobs []trace.Job, now float64) error {
 	}
 	s.base = ck
 	s.jobs = ck.Jobs()
-	s.baseRes = nil
 	return nil
 }
 
@@ -336,7 +332,6 @@ func (s *Session) Submit(specs []JobSpec) ([]int, error) {
 	}
 	s.journalAppendLocked(&record{Op: opSubmit, Jobs: toJournalJobs(staged)})
 	s.jobs = s.base.Jobs()
-	s.baseRes = nil // the full-run schedule beyond the clock changed
 	return ids, nil
 }
 
@@ -598,6 +593,5 @@ func (s *Session) park() bool {
 func (s *Session) dropBaselineLocked() {
 	s.base = nil
 	s.jobs = nil
-	s.baseRes = nil
 	s.tap = baseTap{}
 }

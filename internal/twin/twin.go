@@ -15,15 +15,15 @@
 // strictly before its submit time — the published event prefix never
 // contradicts a later replay.
 //
-// A what-if query forks the twin: the submission log is run under N
+// A what-if query forks the twin. The submission log is run under N
 // candidate policy x backfill x fault configurations concurrently on the
-// internal/par worker pool — each candidate forking a checkpoint of its
-// configuration held at the session clock — the outcomes are scored on the jobs still pending at the session clock, and
-// a ranking with wait/bsld/util deltas against the session's own
-// configuration (one more fork, of the baseline checkpoint) is returned.
-// Replies are deterministic for a fixed log, clock, and seed, independent
-// of worker count: candidate runs are indexed, fault injection is seeded,
-// and ties rank by candidate order.
+// internal/par worker pool, each distinct configuration as one fork of a
+// checkpoint of it held at the session clock. The outcomes are scored on
+// the jobs still pending at the clock, and the reply ranks them with
+// wait/bsld/util deltas against the session's own configuration, whose
+// fork is of the baseline checkpoint. Replies are deterministic for a
+// fixed log, clock, and seed, independent of worker count: runs are
+// indexed, fault injection is seeded, and ties rank by candidate order.
 //
 // Resource bounds are explicit so thousands of sessions fit one process:
 // an LRU cap on live sessions (the oldest is evicted, its subscribers
@@ -89,11 +89,9 @@ type Config struct {
 	// in-memory-only behavior, bit-identical.
 	StateDir string
 	// Fsync and FsyncEvery pick the journal durability policy (default:
-	// FsyncInterval every 100ms). SegmentBytes caps one journal segment
-	// before rotation (default 1 MiB).
-	Fsync        FsyncPolicy
-	FsyncEvery   time.Duration
-	SegmentBytes int64
+	// FsyncInterval every 100ms).
+	Fsync      FsyncPolicy
+	FsyncEvery time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -261,7 +259,7 @@ func (m *Manager) recoverSession(id string) (*Session, bool, error) {
 }
 
 func (m *Manager) journalOpts() journalOpts {
-	return journalOpts{policy: m.cfg.Fsync, every: m.cfg.FsyncEvery, segBytes: m.cfg.SegmentBytes}
+	return journalOpts{policy: m.cfg.Fsync, every: m.cfg.FsyncEvery}
 }
 
 // noteEphemeral is the sessions' degradation hook (called under the

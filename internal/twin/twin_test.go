@@ -609,7 +609,8 @@ func TestWhatIfMatchesDirectSimulation(t *testing.T) {
 // what-if report must be byte-identical to the reference — each candidate
 // replayed by an independent sim.Run over the log. The session is queried
 // twice per cycle so the second query exercises the extend-and-advance
-// path on checkpoints the first one created.
+// path on checkpoints the first one created. One configuration is asked
+// for twice, and both candidates share its run.
 func TestWhatIfWarmMatchesCold(t *testing.T) {
 	cands := []Candidate{
 		{}, // baseline config itself
@@ -617,6 +618,7 @@ func TestWhatIfWarmMatchesCold(t *testing.T) {
 		{Policy: "wfp3", Backfill: "conservative"},
 		{Policy: "f2", Backfill: "relaxed", RelaxFactor: 0.25},
 		{Policy: "sjf", Backfill: "easy", Faults: "mtbf=43200,mttr=3600,frac=0.25,recovery=requeue,retry=2"},
+		{Policy: "sjf", Backfill: "easy"}, // a duplicate
 	}
 	cfg := SessionConfig{Cores: 48, Partitions: 3, Policy: sim.FCFS, Backfill: sim.EASY, Seed: 11}
 	for _, workers := range []int{1, 4, 16} {
@@ -648,9 +650,9 @@ func TestWhatIfWarmMatchesCold(t *testing.T) {
 				sameJSON(t, fmt.Sprintf("cycle %d query %d workers %d report", cycle, q, workers), got, want)
 			}
 		}
-		// The warm table holds the candidate configs other than the
-		// baseline's own (which forks the baseline checkpoint), fault-
-		// injected one included, not more.
+		// The warm table holds one entry per distinct candidate
+		// configuration other than the baseline's own (which forks the
+		// baseline checkpoint), fault-injected one included, not more.
 		warm.warmMu.Lock()
 		nWarm := len(warm.warm)
 		warm.warmMu.Unlock()
@@ -786,9 +788,9 @@ func TestWhatIfSnapshotUnderConcurrentMutations(t *testing.T) {
 	wg.Wait()
 }
 
-// TestWhatIfWarmTableCap pins the warm-table budget: distinct candidate
-// configurations beyond MaxCandidates fork transient checkpoints instead
-// of growing the table without bound, and their outcomes still equal the
+// TestWhatIfWarmTableCap pins the warm-table budget: a fresh build for a
+// configuration beyond MaxCandidates entries is forked and not kept, so
+// the table does not grow without bound, and the outcomes still equal the
 // sim.Run reference.
 func TestWhatIfWarmTableCap(t *testing.T) {
 	m := testManager(t, Config{MaxCandidates: 2})
@@ -823,55 +825,37 @@ func TestWhatIfWarmTableCap(t *testing.T) {
 	}
 }
 
-// TestWhatIfForkFallbacks pins the two table entries fork cannot use as
-// they stand. One that a newer query moved past an older snapshot is kept,
-// and the old snapshot forks a transient checkpoint. A broken one (here an
-// entry whose trace the log cannot extend) is replaced by a fresh build.
-// Either way the run equals sim.Run over the snapshot.
+// TestWhatIfForkFallbacks pins the one table entry a what-if cannot use as
+// it stands: a broken one (here an entry whose trace the log cannot
+// extend) is replaced by a fresh build, and the report still equals the
+// sim.Run reference.
 func TestWhatIfForkFallbacks(t *testing.T) {
 	m := testManager(t, Config{})
 	s, err := m.Create(SessionConfig{Cores: 16, Policy: sim.FCFS, Backfill: sim.EASY})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := s.Submit(burst(20, 0)); err != nil {
+		t.Fatal(err)
+	}
 	opt := sim.Options{Policy: sim.SJF, Backfill: sim.EASY}
 	key := configKey(opt)
-	check := func(what string, tr *trace.Trace) {
-		t.Helper()
-		f, err := s.fork(opt, tr, s.Now())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := f.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := sim.Run(tr, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameJSON(t, what, got, want)
+	late, err := sim.RunToCheckpoint(s.traceOf([]trace.Job{{ID: 0, Submit: 1e9, Run: 1, Procs: 1}}), opt, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
+	s.warm = map[string]*sim.Checkpoint{key: late}
 
-	if _, err := s.Submit(burst(10, 0)); err != nil {
+	req := WhatIfRequest{Candidates: []Candidate{{Policy: "sjf", Backfill: "easy"}}}
+	got, err := s.WhatIf(context.Background(), req)
+	if err != nil {
 		t.Fatal(err)
 	}
-	old := s.traceOf(s.jobs)
-	if _, err := s.Submit(burst(10, 0)); err != nil {
+	want, err := fuzzReference(t, s).report(t, s, req)
+	if err != nil {
 		t.Fatal(err)
 	}
-	check("current snapshot", s.traceOf(s.jobs))
-	entry := s.warm[key]
-	check("older snapshot", old)
-	if s.warm[key] != entry || entry.Len() != 20 {
-		t.Fatalf("the older snapshot replaced or rewound the newer entry")
-	}
-
-	late := s.traceOf([]trace.Job{{ID: 0, Submit: 1e9, Run: 1, Procs: 1}})
-	if s.warm[key], err = sim.RunToCheckpoint(late, opt, 0); err != nil {
-		t.Fatal(err)
-	}
-	check("broken entry", s.traceOf(s.jobs))
+	sameJSON(t, "broken entry report", got, want)
 	if ck := s.warm[key]; ck.Len() != 20 || ck.Jobs()[0].Submit == 1e9 {
 		t.Fatalf("the broken entry was not replaced by a fresh build")
 	}

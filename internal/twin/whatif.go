@@ -3,6 +3,7 @@ package twin
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -93,16 +94,15 @@ type Report struct {
 
 // WhatIf forks the twin and runs every candidate configuration over the
 // submission log concurrently on the internal/par pool, returning the
-// ranked outcomes. Each candidate — fault-injected ones included — runs a
-// fork of a checkpoint of its own configuration held at the session clock
-// (see fork), so only the schedule from the clock on is simulated; the fork
-// is still a counterfactual of the whole log (jobs already dispatched are
-// re-scheduled under the candidate too), but scoring is restricted to the
-// still-pending jobs so committed work does not drown the signal. The
-// baseline the deltas compare against is one more fork — of the session's
-// own baseline checkpoint — unless it is cached from an earlier query over
-// the same log, and a candidate on the baseline's configuration takes the
-// baseline's result.
+// ranked outcomes. Each distinct configuration — the baseline's, which the
+// deltas compare against, and each candidate's, fault-injected ones
+// included — runs one fork of a checkpoint of that configuration held at
+// the session clock (see snapshotForks), so only the schedule from the
+// clock on is simulated. A fork is still a counterfactual of the whole log
+// (jobs already dispatched are re-scheduled under the candidate too), but
+// scoring is restricted to the still-pending jobs so committed work does
+// not drown the signal. Candidates with one configuration share its run,
+// and a candidate on the baseline's configuration takes the baseline's.
 func (s *Session) WhatIf(ctx context.Context, req WhatIfRequest) (*Report, error) {
 	if len(req.Candidates) == 0 {
 		return nil, fmt.Errorf("twin: what-if needs at least one candidate")
@@ -116,99 +116,121 @@ func (s *Session) WhatIf(ctx context.Context, req WhatIfRequest) (*Report, error
 		seed = *req.Seed
 	}
 
-	// Snapshot session state; the jobs slice is append-only so sharing the
-	// prefix with concurrent submissions is safe. The baseline fork is
-	// taken under the lock so it matches the snapshot even if a Submit
-	// extends the checkpoint before the fork runs.
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
-	}
-	now := s.now
-	jobs := s.jobs[:len(s.jobs):len(s.jobs)]
-	base := s.baseRes
-	var baseFork *sim.Fork
-	if base == nil && len(jobs) > 0 {
-		var err error
-		if baseFork, err = s.base.Fork(); err != nil {
-			s.mu.Unlock()
-			return nil, fmt.Errorf("twin: baseline fork: %w", err)
-		}
-	}
-	s.mu.Unlock()
-
-	if len(jobs) == 0 {
-		return nil, fmt.Errorf("%w: session has no jobs", ErrEmpty)
-	}
-
-	// Resolve candidates up front so a bad spec fails before the fan-out.
-	opts := make([]sim.Options, len(req.Candidates))
+	// Resolve the candidates up front so a bad spec fails before any work,
+	// and dedupe them by configuration: run[i] indexes candidate i's in
+	// opts, where configuration 0 is the baseline's.
+	opts := []sim.Options{s.baseOptions()}
+	keys := []string{configKey(opts[0])}
+	run := make([]int, len(req.Candidates))
 	for i, c := range req.Candidates {
 		opt, err := s.candidateOptions(c, seed)
 		if err != nil {
 			return nil, fmt.Errorf("twin: candidate %d: %w", i, err)
 		}
-		opts[i] = opt
+		key := configKey(opt)
+		if run[i] = slices.Index(keys, key); run[i] < 0 {
+			run[i] = len(opts)
+			opts = append(opts, opt)
+			keys = append(keys, key)
+		}
 	}
 
-	tr := s.traceOf(jobs)
-
-	// A candidate on the baseline configuration takes the baseline's own
-	// result; every other one runs a fork of its configuration at the clock.
-	baseKey := configKey(s.baseOptions())
-	isBase := make([]bool, len(opts))
-	for i := range opts {
-		isBase[i] = configKey(opts[i]) == baseKey
+	now, jobs, forks, err := s.snapshotForks(ctx, opts, keys)
+	if err != nil {
+		return nil, err
 	}
-
-	// The baseline fork, when present, is the fan-out's first item, and
-	// its clone is dropped once run, so it is not held through the rest.
-	forked := baseFork != nil
-	off := 0
-	if forked {
-		off = 1
-	}
-	results := make([]*sim.Summary, len(opts))
-	err := par.ForEach(ctx, off+len(opts), func(ctx context.Context, i int) error {
-		if i < off {
-			f := baseFork
-			baseFork = nil
-			var err error
-			if base, err = f.RunSummary(ctx); err != nil {
-				return fmt.Errorf("twin: baseline: %w", err)
-			}
-			return nil
-		}
-		i -= off
-		if isBase[i] {
-			return nil // filled from the baseline below
-		}
-		f, err := s.fork(opts[i], tr, now)
-		if err == nil {
-			results[i], err = f.RunSummary(ctx)
-		}
-		if err != nil {
-			return fmt.Errorf("twin: candidate %d: %w", i, err)
+	sums := make([]*sim.Summary, len(forks))
+	err = par.ForEach(ctx, len(forks), func(ctx context.Context, i int) error {
+		f := forks[i]
+		forks[i] = nil // drop the clone once run
+		var err error
+		if sums[i], err = f.RunSummary(ctx); err != nil {
+			return fmt.Errorf("twin: what-if %s: %w", keys[i], err)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	if forked {
-		s.mu.Lock()
-		if len(s.jobs) == len(jobs) && !s.closed {
-			s.baseRes = base // no Submit since the snapshot
-		}
+	results := make([]*sim.Summary, len(run))
+	for i, k := range run {
+		results[i] = sums[k]
+	}
+	return buildReport(s.ID, s.cfg, now, seed, req.Candidates, jobs, sums[0], results)
+}
+
+// snapshotForks takes a what-if's snapshot — the clock and the log — and
+// one paused fork at it per configuration: opts[0], the baseline's, forks
+// the session's own checkpoint under s.mu, and every other one forks its
+// warm table entry, caught up to the snapshot with forkWarm. The whole
+// step holds warmMu (lock order warmMu → s.mu), so snapshots are taken in
+// warmMu order and no entry is ever ahead of a query's snapshot. Entries
+// are separate checkpoints, so they catch up concurrently. A fresh build
+// is kept while the table holds fewer than MaxCandidates entries;
+// otherwise it is forked and dropped.
+func (s *Session) snapshotForks(ctx context.Context, opts []sim.Options, keys []string) (float64, []trace.Job, []*sim.Fork, error) {
+	s.warmMu.Lock()
+	defer s.warmMu.Unlock()
+	forks := make([]*sim.Fork, len(opts))
+	s.mu.Lock()
+	if s.closed {
 		s.mu.Unlock()
+		return 0, nil, nil, ErrClosed
 	}
-	for i := range results {
-		if isBase[i] {
-			results[i] = base
+	now := s.now
+	jobs := s.jobs[:len(s.jobs):len(s.jobs)] // append-only: the prefix is shared safely
+	var err error
+	if len(jobs) > 0 {
+		forks[0], err = s.base.Fork()
+	}
+	s.mu.Unlock()
+	if len(jobs) == 0 {
+		return 0, nil, nil, fmt.Errorf("%w: session has no jobs", ErrEmpty)
+	}
+	if err != nil {
+		return 0, nil, nil, fmt.Errorf("twin: baseline fork: %w", err)
+	}
+
+	// The table is read and written here only, outside the fan-out; which
+	// fresh builds fit the budget is settled up front, in configuration
+	// order.
+	cks := make([]*sim.Checkpoint, len(opts))
+	keep := make([]bool, len(opts))
+	free := s.limits.MaxCandidates - len(s.warm)
+	for i := 1; i < len(opts); i++ {
+		cks[i] = s.warm[keys[i]]
+		keep[i] = cks[i] != nil || free > 0
+		if cks[i] == nil {
+			free--
 		}
 	}
-	return buildReport(s.ID, s.cfg, now, seed, req.Candidates, jobs, base, results)
+	tr := s.traceOf(jobs)
+	err = par.ForEach(ctx, len(opts)-1, func(_ context.Context, i int) error {
+		i++
+		f, ck, err := forkWarm(cks[i], opts[i], tr, now)
+		if !keep[i] {
+			ck = nil
+		}
+		forks[i], cks[i] = f, ck
+		if err != nil {
+			return fmt.Errorf("twin: what-if %s: %w", keys[i], err)
+		}
+		return nil
+	})
+	if s.warm == nil {
+		s.warm = make(map[string]*sim.Checkpoint)
+	}
+	for i := 1; i < len(opts); i++ {
+		if cks[i] != nil {
+			s.warm[keys[i]] = cks[i]
+		} else {
+			delete(s.warm, keys[i]) // none kept, or a broken one not rebuilt
+		}
+	}
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	return now, jobs, forks, nil
 }
 
 // buildReport scores the candidates' full-run summaries of the log jobs
@@ -306,18 +328,11 @@ func (s *Session) candidateOptions(c Candidate, seed uint64) (sim.Options, error
 	return opt, nil
 }
 
-// fork returns a paused simulation of one candidate configuration at the
-// query snapshot — the log tr and the clock now — ready to run. Forks are
-// taken per fan-out worker, so at most one per worker is alive.
-//
-// The session's warm table entry for the configuration serves it: created
-// on first use, then extended with the log suffix, advanced to the clock
-// and forked, all under one warmMu hold, so a concurrent query cannot move
-// the entry between catch-up and fork. A broken entry is replaced by a
-// fresh build. When no entry can serve the snapshot — the table is at
-// MaxCandidates, or a concurrent query with a longer log already moved the
-// entry past it (the entry is kept) — the fork comes from a transient
-// checkpoint built for this snapshot and dropped after.
+// forkWarm catches ck — the warm table entry of opt's configuration, nil
+// when there is none — up to a what-if's snapshot, the log tr and the clock
+// now, by extending it with the log suffix and advancing it to the clock,
+// and forks it. A missing or broken entry is replaced by a fresh build,
+// returned in ck's place.
 //
 // The Extend precondition — suffix jobs arrive at or after the pause time —
 // holds by construction: the pause time is always some earlier session
@@ -328,30 +343,9 @@ func (s *Session) candidateOptions(c Candidate, seed uint64) (sim.Options, error
 // after a query made once the clock had passed every submit, the next
 // Extend may rebuild the checkpoint by one run of the log (see
 // sim.Checkpoint.Extend).
-func (s *Session) fork(opt sim.Options, tr *trace.Trace, now float64) (*sim.Fork, error) {
-	s.warmMu.Lock()
-	f, err := s.forkWarm(opt, tr, now)
-	s.warmMu.Unlock()
-	if f != nil || err != nil {
-		return f, err
-	}
-	ck, err := sim.RunToCheckpoint(tr, opt, now)
-	if err != nil {
-		return nil, err
-	}
-	return ck.Fork()
-}
-
-// forkWarm is fork's warm-table half, called with warmMu held. It returns
-// a nil fork and error when no table entry can serve the snapshot.
-func (s *Session) forkWarm(opt sim.Options, tr *trace.Trace, now float64) (*sim.Fork, error) {
-	key := configKey(opt)
-	if ck := s.warm[key]; ck != nil {
-		n := ck.Len()
-		if n > len(tr.Jobs) || ck.PausedAt() > now {
-			return nil, nil
-		}
-		err := ck.Extend(tr.Jobs[n:])
+func forkWarm(ck *sim.Checkpoint, opt sim.Options, tr *trace.Trace, now float64) (*sim.Fork, *sim.Checkpoint, error) {
+	if ck != nil {
+		err := ck.Extend(tr.Jobs[ck.Len():])
 		if err == nil {
 			err = ck.AdvanceTo(now)
 		}
@@ -360,28 +354,21 @@ func (s *Session) forkWarm(opt sim.Options, tr *trace.Trace, now float64) (*sim.
 			f, err = ck.Fork()
 		}
 		if err == nil {
-			return f, nil
+			return f, ck, nil
 		}
-		delete(s.warm, key) // broken: the fresh build below replaces it
-	}
-	if len(s.warm) >= s.limits.MaxCandidates {
-		return nil, nil
 	}
 	ck, err := sim.RunToCheckpoint(tr, opt, now)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if s.warm == nil {
-		s.warm = make(map[string]*sim.Checkpoint)
-	}
-	s.warm[key] = ck
-	return ck.Fork()
+	f, err := ck.Fork()
+	return f, ck, err
 }
 
 // configKey names a scheduling configuration: the warm table's key, and
-// how a candidate is recognized as the baseline's own. A fault scenario
-// adds its canonical spec, which carries the effective seed, so a query's
-// seed override gets its own entry.
+// how a what-if dedupes its candidates, the baseline's configuration
+// included. A fault scenario adds its canonical spec, which carries the
+// effective seed, so a query's seed override gets its own entry.
 func configKey(opt sim.Options) string {
 	key := fmt.Sprintf("%s|%s|%g", opt.Policy, opt.Backfill, opt.RelaxFactor)
 	if opt.Faults.Enabled() {
