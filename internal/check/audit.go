@@ -559,7 +559,7 @@ func Audit(tr *trace.Trace, opt sim.Options, events []obs.Event, res *sim.Result
 		var sumWait, sumBsld float64
 		for i := range res.Jobs {
 			sumWait += res.Jobs[i].Wait
-			sumBsld += res.Jobs[i].BoundedSlowdown(opt.BsldTau)
+			sumBsld += res.Jobs[i].BoundedSlowdown(trace.BsldTau)
 		}
 		if res.AvgWait != sumWait/n {
 			r.addf("metrics", "reported avg wait %v, recomputed %v", res.AvgWait, sumWait/n)

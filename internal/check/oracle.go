@@ -503,7 +503,7 @@ func (o *oracle) result(tr *trace.Trace) *sim.Result {
 		res.PromisedStart[i] = o.jobs[i].promised
 		res.Jobs[i].Wait = o.jobs[i].wait
 		sumWait += res.Jobs[i].Wait
-		sumBsld += res.Jobs[i].BoundedSlowdown(o.opt.BsldTau)
+		sumBsld += res.Jobs[i].BoundedSlowdown(trace.BsldTau)
 	}
 	if n := float64(len(o.jobs)); n > 0 {
 		res.AvgWait = sumWait / n

@@ -73,10 +73,8 @@ func RunToCheckpoint(tr *trace.Trace, opt Options, pauseAt float64) (*Checkpoint
 			tr.System.TotalCores, nParts, err)
 	}
 	for i := range tr.Jobs {
-		p := partitionOf(&tr.Jobs[i], nParts)
-		if tr.Jobs[i].Procs > caps[p] {
-			return nil, fmt.Errorf("sim: job %d needs %d cores but partition %d has %d",
-				tr.Jobs[i].ID, tr.Jobs[i].Procs, p, caps[p])
+		if err := checkFit(&tr.Jobs[i], cl); err != nil {
+			return nil, err
 		}
 	}
 	ck := &Checkpoint{
@@ -162,10 +160,8 @@ func (ck *Checkpoint) Extend(jobs []trace.Job) error {
 				j.ID, j.Submit, last)
 		}
 		last = j.Submit
-		p := partitionOf(j, ck.nParts)
-		if j.Procs > ck.caps[p] {
-			return fmt.Errorf("sim: job %d needs %d cores but partition %d has %d",
-				j.ID, j.Procs, p, ck.caps[p])
+		if err := checkFit(j, ck.s.cl); err != nil {
+			return err
 		}
 	}
 	s := &ck.s
@@ -266,7 +262,7 @@ func (f *Fork) Run(ctx context.Context) (*Result, error) {
 	if err := f.run(ctx); err != nil {
 		return nil, err
 	}
-	return f.s.result(nil)
+	return f.s.result()
 }
 
 // Summary is the part of a run's Result a what-if scores: the per-arrival

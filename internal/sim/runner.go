@@ -105,10 +105,8 @@ func (r *Runner) RunContext(ctx context.Context, tr *trace.Trace, opt Options) (
 
 	// Validate partition fit up front so we fail fast, not mid-run.
 	for i := range s.jobs {
-		p := s.partition(&s.jobs[i])
-		if s.jobs[i].Procs > cl.Capacity(p) {
-			return nil, fmt.Errorf("sim: job %d needs %d cores but partition %d has %d",
-				s.jobs[i].ID, s.jobs[i].Procs, p, cl.Capacity(p))
+		if err := checkFit(&s.jobs[i], cl); err != nil {
+			return nil, err
 		}
 	}
 
@@ -128,7 +126,7 @@ func (r *Runner) RunContext(ctx context.Context, tr *trace.Trace, opt Options) (
 	if runErr != nil {
 		return nil, runErr
 	}
-	return s.result(tr)
+	return s.result()
 }
 
 // cluster returns a cluster model for the trace shape, reusing the cached

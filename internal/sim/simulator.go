@@ -24,9 +24,6 @@ type Options struct {
 	// MaxQueueLen normalizes the adaptive factor (Eq. 1). Zero means use
 	// the maximum queue length observed so far during the run.
 	MaxQueueLen int
-	// BsldTau is the bounded-slowdown interactivity threshold in seconds
-	// (default 10, per Feitelson).
-	BsldTau float64
 	// UseActualRuntime makes reservations use the job's actual runtime
 	// instead of the requested walltime (a perfect-estimate oracle).
 	UseActualRuntime bool
@@ -77,14 +74,10 @@ type Options struct {
 	Faults *fault.Config
 }
 
-// WithDefaults returns opt with its unset defaults decided: BsldTau 10, and
-// RelaxFactor 0.10 for the relaxed backfill kinds. Every run applies it, as
-// do the check oracle and auditors, so all of them plan and score with
-// identical numbers.
+// WithDefaults returns opt with its unset defaults decided: RelaxFactor
+// 0.10 for the relaxed backfill kinds. Every run applies it, as do the
+// check oracle and auditors, so all of them plan with identical numbers.
 func (opt Options) WithDefaults() Options {
-	if opt.BsldTau <= 0 {
-		opt.BsldTau = 10
-	}
 	if opt.RelaxFactor == 0 && (opt.Backfill == Relaxed || opt.Backfill == AdaptiveRelaxed) {
 		opt.RelaxFactor = 0.10
 	}
@@ -513,9 +506,9 @@ func (s *simulator) partition(j *trace.Job) int {
 	return partitionOf(j, s.cl.Partitions())
 }
 
-// partitionOf is the partition mapping shared by the simulator and the
-// checkpoint's up-front job checks (checkpoint.go), which must agree
-// exactly: a job is size-checked against the partition it will queue on.
+// partitionOf is the partition mapping shared by the simulator and
+// checkFit, which must agree exactly: a job is size-checked against the
+// partition it will queue on.
 func partitionOf(j *trace.Job, nParts int) int {
 	if nParts == 1 {
 		return 0
@@ -525,6 +518,16 @@ func partitionOf(j *trace.Job, nParts int) int {
 	}
 	// jobs without a VC in a partitioned system land by user hash
 	return j.User % nParts
+}
+
+// checkFit reports a job that needs more cores than the partition it
+// queues on has; every path that admits jobs checks them with it.
+func checkFit(j *trace.Job, cl *cluster.Cluster) error {
+	if p := partitionOf(j, cl.Partitions()); j.Procs > cl.Capacity(p) {
+		return fmt.Errorf("sim: job %d needs %d cores but partition %d has %d",
+			j.ID, j.Procs, p, cl.Capacity(p))
+	}
+	return nil
 }
 
 // rowPage holds the rows of consecutive arrivals in parallel arrays.
@@ -1270,7 +1273,7 @@ func (s *simulator) backfillPass(p int, deadline, base float64, extra int) (star
 
 // result assembles the metrics of a materialized run from its one row
 // page.
-func (s *simulator) result(tr *trace.Trace) (*Result, error) {
+func (s *simulator) result() (*Result, error) {
 	rows := &s.rows.pages[0]
 	res := &Result{
 		Jobs:           append([]trace.Job(nil), rows.jobs...),
@@ -1294,13 +1297,12 @@ func (s *simulator) result(tr *trace.Trace) (*Result, error) {
 		}
 	}
 	var sumWait, sumBsld float64
-	tau := s.opt.BsldTau
 	for i := range res.Jobs {
 		w := rows.waits[i]
 		res.Jobs[i].Wait = w
 		sumWait += w
 		// Every job has started here, so wait >= 0.
-		sumBsld += trace.Bsld(w, res.Jobs[i].Run, tau)
+		sumBsld += trace.Bsld(w, res.Jobs[i].Run, trace.BsldTau)
 	}
 	n := float64(len(res.Jobs))
 	if n > 0 {

@@ -262,10 +262,8 @@ func (s *simulator) streamArrival(t float64) (*trace.Job, error) {
 		return nil, fmt.Errorf("sim: stream: job %d out of submit order (%v after %v)", j.ID, j.Submit, in.lastSubmit)
 	}
 	in.lastSubmit = j.Submit
-	p := s.partition(&j)
-	if j.Procs > s.cl.Capacity(p) {
-		return nil, fmt.Errorf("sim: job %d needs %d cores but partition %d has %d",
-			j.ID, j.Procs, p, s.cl.Capacity(p))
+	if err := checkFit(&j, s.cl); err != nil {
+		return nil, err
 	}
 	return s.winAdmit(j), nil
 }
@@ -296,7 +294,6 @@ func (s *simulator) winAdmit(j trace.Job) *trace.Job {
 // streaming averages are bit-identical to materialized ones.
 func (s *simulator) retireStream() error {
 	in := s.in
-	tau := s.opt.BsldTau
 	for in.winHead < s.next {
 		pg, i := s.rows.page(in.winHead)
 		if !pg.done[i] {
@@ -306,7 +303,7 @@ func (s *simulator) retireStream() error {
 		w := pg.waits[i]
 		j.Wait = w
 		in.sumWait += w
-		in.sumBsld += trace.Bsld(w, j.Run, tau)
+		in.sumBsld += trace.Bsld(w, j.Run, trace.BsldTau)
 		if in.sink != nil {
 			if err := in.sink(StreamRow{Job: j, Promised: pg.promised[i]}); err != nil {
 				return fmt.Errorf("sim: stream sink failed after %d rows: %w", in.retired, err)

@@ -132,6 +132,11 @@ func (j Job) BoundedSlowdown(tau float64) float64 {
 	return Bsld(wait, j.Run, tau)
 }
 
+// BsldTau is the bounded-slowdown interactivity threshold in seconds
+// (Feitelson's tau; the paper uses 10 s). The simulator, the twin and the
+// checks all score bsld with it.
+const BsldTau = 10.0
+
 // Bsld is the bounded slowdown of a job that waited wait seconds and ran
 // run seconds: max((wait+run)/max(run,tau),1), and 1 when max(run,tau) is
 // not positive. It is the one bsld formula: the simulator's and the twin's

@@ -7,8 +7,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -33,18 +31,23 @@ import (
 // Recovery truncates at the FIRST bad frame — every fsync-acknowledged
 // prefix before it survives — instead of failing startup.
 //
-// Journals rotate into numbered segment files (000001.wal, 000002.wal, …)
-// once a segment passes 1 MiB, bounding single-file size; replay
-// reads segments in order and a bad frame drops the rest of its segment
-// and all later segments.
+// Each session journals to one append-only file, <dir>/000001.wal. Earlier
+// versions rotated journals into numbered segments past 1 MiB and gave the
+// first segment this name, so their single-segment journals recover
+// unchanged; a directory that also holds 000002.wal is refused untouched,
+// never recovered from its first segment alone.
 
 // FsyncPolicy says when journal appends reach stable storage.
 type FsyncPolicy uint8
 
 const (
-	// FsyncInterval (the default) syncs at most once per FsyncEvery,
-	// piggybacked on appends: a crash can lose up to FsyncEvery of
-	// acknowledged records, never anything older.
+	// FsyncInterval (the default) syncs on the first append at least
+	// FsyncEvery after the previous sync, and on close (park, shutdown).
+	// No timer syncs a quiet session: its last records stay unsynced
+	// until its next append or close, however long that takes. A process
+	// kill loses none of them (the OS page cache holds them); a power
+	// loss or kernel crash can lose every record written since the last
+	// sync.
 	FsyncInterval FsyncPolicy = iota
 	// FsyncAlways syncs after every record before the append returns:
 	// every acknowledged submit/advance survives a kill -9.
@@ -85,9 +88,11 @@ func ParseFsync(s string) (FsyncPolicy, time.Duration, error) {
 }
 
 const (
-	defaultFsyncEvery   = 100 * time.Millisecond
-	defaultSegmentBytes = 1 << 20
-	segmentSuffix       = ".wal"
+	defaultFsyncEvery = 100 * time.Millisecond
+	// journalFile is a session's journal; secondSegment is the file an
+	// earlier, rotating version started once the first passed 1 MiB.
+	journalFile   = "000001.wal"
+	secondSegment = "000002.wal"
 )
 
 // Journal record operations. A record is one JSON object whose "op" field
@@ -192,17 +197,13 @@ func fromJournalJobs(jobs []journalJob) []trace.Job {
 
 // journalOpts bundle the durability knobs a Manager hands each journal.
 type journalOpts struct {
-	policy   FsyncPolicy
-	every    time.Duration
-	segBytes int64
+	policy FsyncPolicy
+	every  time.Duration
 }
 
 func (o journalOpts) withDefaults() journalOpts {
 	if o.every <= 0 {
 		o.every = defaultFsyncEvery
-	}
-	if o.segBytes <= 0 {
-		o.segBytes = defaultSegmentBytes
 	}
 	return o
 }
@@ -210,12 +211,9 @@ func (o journalOpts) withDefaults() journalOpts {
 // journal is one session's open write-ahead log. It is not internally
 // locked: the owning Session appends under its own mutex.
 type journal struct {
-	dir  string
 	opts journalOpts
 
 	f        *os.File
-	seg      int // current segment number (1-based)
-	size     int64
 	buf      []byte
 	lastSync time.Time
 	dirty    bool
@@ -224,66 +222,21 @@ type journal struct {
 	syncFn func(*os.File) error
 }
 
-// openJournal opens the session's journal directory for appending,
-// creating it (and the first segment) if needed. Appends continue the
-// highest-numbered existing segment.
+// openJournal opens the session's journal file for appending, creating
+// the directory and the file if needed.
 func openJournal(dir string, opts journalOpts) (*journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	segs, err := segmentFiles(dir)
+	f, err := os.OpenFile(filepath.Join(dir, journalFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	j := &journal{dir: dir, opts: opts.withDefaults(), seg: 1, syncFn: (*os.File).Sync}
-	if len(segs) > 0 {
-		j.seg = segs[len(segs)-1]
-	}
-	f, err := os.OpenFile(j.segPath(j.seg), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	j.f, j.size, j.lastSync = f, st.Size(), time.Now()
-	return j, nil
+	return &journal{opts: opts.withDefaults(), f: f, lastSync: time.Now(), syncFn: (*os.File).Sync}, nil
 }
 
-func (j *journal) segPath(n int) string {
-	return filepath.Join(j.dir, fmt.Sprintf("%06d%s", n, segmentSuffix))
-}
-
-// segmentFiles lists the directory's segment numbers in ascending order.
-func segmentFiles(dir string) ([]int, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	var segs []int
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, segmentSuffix) {
-			continue
-		}
-		n, err := strconv.Atoi(strings.TrimSuffix(name, segmentSuffix))
-		if err != nil || n <= 0 {
-			continue
-		}
-		segs = append(segs, n)
-	}
-	sort.Ints(segs)
-	return segs, nil
-}
-
-// append frames, writes, and (per policy) syncs one record, rotating the
-// segment afterwards when it passed the size threshold. The first error is
-// the caller's signal to degrade the session to ephemeral mode.
+// append frames, writes, and (per policy) syncs one record. The first
+// error is the caller's signal to degrade the session to ephemeral mode.
 func (j *journal) append(rec *record) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {
@@ -300,22 +253,14 @@ func (j *journal) append(rec *record) error {
 	if _, err := j.f.Write(b); err != nil {
 		return fmt.Errorf("twin: journal write: %w", err)
 	}
-	j.size += int64(len(b))
 	j.dirty = true
 	switch j.opts.policy {
 	case FsyncAlways:
-		if err := j.sync(); err != nil {
-			return err
-		}
+		return j.sync()
 	case FsyncInterval:
 		if time.Since(j.lastSync) >= j.opts.every {
-			if err := j.sync(); err != nil {
-				return err
-			}
+			return j.sync()
 		}
-	}
-	if j.size >= j.opts.segBytes {
-		return j.rotate()
 	}
 	return nil
 }
@@ -329,24 +274,6 @@ func (j *journal) sync() error {
 	}
 	j.dirty = false
 	j.lastSync = time.Now()
-	return nil
-}
-
-// rotate seals the current segment (synced so a later torn tail cannot
-// reach back into it) and starts the next one.
-func (j *journal) rotate() error {
-	if err := j.sync(); err != nil {
-		return err
-	}
-	if err := j.f.Close(); err != nil {
-		return fmt.Errorf("twin: journal rotate: %w", err)
-	}
-	j.seg++
-	f, err := os.OpenFile(j.segPath(j.seg), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("twin: journal rotate: %w", err)
-	}
-	j.f, j.size = f, 0
 	return nil
 }
 
@@ -393,46 +320,31 @@ func parseHex32(b []byte) (uint32, bool) {
 	return v, true
 }
 
-// replayJournal reads a session's records back, truncating at the first
-// torn or corrupt frame: the bad segment is cut at the frame boundary on
-// disk and later segments are deleted, so the next writer appends after a
-// clean tail. It reports whether anything was truncated.
+// replayJournal reads a session's records back, truncating the file at
+// the first torn or corrupt frame so the next writer appends after a clean
+// tail. It reports whether anything was truncated. A directory holding a
+// second segment is refused and left as it is: its first segment alone
+// would drop acknowledged records.
 func replayJournal(dir string) ([]record, bool, error) {
-	segs, err := segmentFiles(dir)
+	switch _, err := os.Lstat(filepath.Join(dir, secondSegment)); {
+	case err == nil:
+		return nil, false, fmt.Errorf("twin: journal %s: second segment %s is not read; refusing to recover the first alone", dir, secondSegment)
+	case !os.IsNotExist(err):
+		return nil, false, err
+	}
+	path := filepath.Join(dir, journalFile)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, false, err
 	}
-	if len(segs) == 0 {
-		return nil, false, fmt.Errorf("twin: journal %s: no segments", dir)
+	recs, goodBytes := parseFrames(data)
+	if goodBytes == int64(len(data)) {
+		return recs, false, nil
 	}
-	var recs []record
-	truncated := false
-	for si, seg := range segs {
-		path := filepath.Join(dir, fmt.Sprintf("%06d%s", seg, segmentSuffix))
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, truncated, err
-		}
-		segRecs, goodBytes := parseFrames(data)
-		recs = append(recs, segRecs...)
-		if goodBytes == int64(len(data)) {
-			continue
-		}
-		// Bad frame: cut this segment at the last good boundary and drop
-		// every later segment — nothing after the first corruption is
-		// trustworthy.
-		truncated = true
-		if err := os.Truncate(path, goodBytes); err != nil {
-			return nil, truncated, err
-		}
-		for _, later := range segs[si+1:] {
-			if err := os.Remove(filepath.Join(dir, fmt.Sprintf("%06d%s", later, segmentSuffix))); err != nil && !os.IsNotExist(err) {
-				return nil, truncated, err
-			}
-		}
-		break
+	if err := os.Truncate(path, goodBytes); err != nil {
+		return nil, true, err
 	}
-	return recs, truncated, nil
+	return recs, true, nil
 }
 
 // parseFrames decodes frames until the data ends or a frame fails

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -85,39 +86,6 @@ func TestJournalAppendContinuesAfterReopen(t *testing.T) {
 	writeJournal(t, dir, journalOpts{}, recs[3:]) // reopen appends, not truncates
 	if got := mustReplay(t, dir, false); len(got) != len(recs) {
 		t.Fatalf("replayed %d records across reopen, want %d", len(got), len(recs))
-	}
-}
-
-func TestJournalSegmentRotation(t *testing.T) {
-	dir := t.TempDir()
-	j, err := openJournal(dir, journalOpts{segBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 50
-	for i := 0; i < n; i++ {
-		if err := j.append(&record{Op: opAdvance, To: float64(i + 1)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.close(); err != nil {
-		t.Fatal(err)
-	}
-	segs, err := segmentFiles(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) < 3 {
-		t.Fatalf("got %d segments, want rotation to produce >= 3", len(segs))
-	}
-	got := mustReplay(t, dir, false)
-	if len(got) != n {
-		t.Fatalf("replayed %d records across segments, want %d", len(got), n)
-	}
-	for i, r := range got {
-		if r.To != float64(i+1) {
-			t.Fatalf("record %d out of order: To = %v", i, r.To)
-		}
 	}
 }
 
@@ -217,23 +185,13 @@ func TestParseFsync(t *testing.T) {
 	}
 }
 
-// segPaths returns the single segment file of a freshly written journal.
-func onlySegment(t *testing.T, dir string) string {
-	t.Helper()
-	segs, err := segmentFiles(dir)
-	if err != nil || len(segs) != 1 {
-		t.Fatalf("want exactly one segment, got %v (err %v)", segs, err)
-	}
-	return filepath.Join(dir, "000001"+segmentSuffix)
-}
-
 func TestJournalTornTailTruncated(t *testing.T) {
 	recs := testRecords()
 
 	t.Run("garbage-appended", func(t *testing.T) {
 		dir := t.TempDir()
 		writeJournal(t, dir, journalOpts{}, recs)
-		path := onlySegment(t, dir)
+		path := filepath.Join(dir, journalFile)
 		f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -270,7 +228,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	t.Run("chopped-mid-frame", func(t *testing.T) {
 		dir := t.TempDir()
 		writeJournal(t, dir, journalOpts{}, recs)
-		path := onlySegment(t, dir)
+		path := filepath.Join(dir, journalFile)
 		st, err := os.Stat(path)
 		if err != nil {
 			t.Fatal(err)
@@ -286,36 +244,75 @@ func TestJournalTornTailTruncated(t *testing.T) {
 
 	t.Run("flipped-crc-mid-file", func(t *testing.T) {
 		dir := t.TempDir()
-		// Rotate aggressively so corruption in segment 1 must also drop
-		// segment 2 entirely.
-		writeJournal(t, dir, journalOpts{segBytes: 128}, recs)
-		segs, err := segmentFiles(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(segs) < 2 {
-			t.Fatalf("setup: want >= 2 segments, got %d", len(segs))
-		}
-		first := filepath.Join(dir, "000001"+segmentSuffix)
-		data, err := os.ReadFile(first)
+		writeJournal(t, dir, journalOpts{}, recs)
+		path := filepath.Join(dir, journalFile)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Corrupt a payload byte in the FIRST frame (past the 18-byte
-		// header, inside the JSON).
+		// header, inside the JSON): the good frames after it are dropped.
 		i := 18 + bytes.IndexByte(data[18:], ':')
 		data[i+1] ^= 0xff
-		if err := os.WriteFile(first, data, 0o644); err != nil {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		got := mustReplay(t, dir, true)
 		if len(got) != 0 {
 			t.Fatalf("replayed %d records past a corrupt first frame, want 0", len(got))
 		}
-		if left, _ := segmentFiles(dir); len(left) != 1 {
-			t.Fatalf("later segments not deleted: %v", left)
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Size() != 0 {
+			t.Fatalf("file is %d bytes, want it truncated to the corrupt first frame", st.Size())
 		}
 	})
+}
+
+// TestJournalRefusesSecondSegment: a journal that an earlier, rotating
+// version split into 000001.wal and 000002.wal is not recovered from its
+// first segment alone; the session stays unserved and both files stay
+// byte-identical for the version that can read them.
+func TestJournalRefusesSecondSegment(t *testing.T) {
+	state := t.TempDir()
+	dir := filepath.Join(state, "s000001")
+	recs := testRecords()
+	writeJournal(t, dir, journalOpts{}, recs[:3])
+	first, err := os.ReadFile(filepath.Join(dir, journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var second []byte
+	for _, r := range recs[3:] {
+		p, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second = fmt.Appendf(second, "%08x %08x %s\n", len(p), crc32.ChecksumIEEE(p), p)
+	}
+	second = append(second, "00000040 deadbeef {\"op\":\"adv"...) // a torn tail too
+	if err := os.WriteFile(filepath.Join(dir, secondSegment), second, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m := testManager(t, Config{StateDir: state})
+	if got := m.Metrics(); got.TwinRecovered != 0 || got.TwinTruncations != 0 {
+		t.Fatalf("recovery metrics = %+v, want nothing recovered or truncated", got)
+	}
+	if _, err := m.Get("s000001"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get on a two-segment journal: err = %v, want ErrNotFound", err)
+	}
+	for name, want := range map[string][]byte{journalFile: first, secondSegment: second} {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s changed by the refused recovery (%d -> %d bytes)", name, len(want), len(got))
+		}
+	}
 }
 
 // TestJournalRecoversColdWhatIfField: journals written while sessions
@@ -371,13 +368,13 @@ func TestJournalRecoversColdWhatIfField(t *testing.T) {
 // payloads is split at newlines into payloads, each wrapped in a frame
 // with a valid length and CRC, so the JSON decoding and op checks behind
 // the frame check get exercised; tail is appended raw after the frames
-// (torn writes, garbage, frames the fuzzer forged); split moves the first
-// frames into an earlier segment. Recovery must not panic, must recover a
-// frame-boundary prefix of the valid records — every record before the
-// first payload that does not decode to a known op, and nothing past it —
-// and must be idempotent: a second replay of the truncated journal reads
-// the same records and truncates nothing, and a Manager restarted twice
-// over the same state directory serves the same session both times.
+// (torn writes, garbage, frames the fuzzer forged). Recovery must not
+// panic, must recover a frame-boundary prefix of the valid records — every
+// record before the first payload that does not decode to a known op, and
+// nothing past it — and must be idempotent: a second replay of the
+// truncated journal reads the same records and truncates nothing, and a
+// Manager restarted twice over the same state directory serves the same
+// session both times.
 func FuzzJournalReplay(f *testing.F) {
 	var valid [][]byte
 	for _, r := range testRecords() {
@@ -388,14 +385,14 @@ func FuzzJournalReplay(f *testing.F) {
 		valid = append(valid, b)
 	}
 	joined := bytes.Join(valid, []byte("\n"))
-	f.Add(joined, []byte(nil), uint8(0))
-	f.Add(joined, []byte("0000002a 00000000 {\"op\":\"adv"), uint8(2))
-	f.Add(joined, []byte("\x00\xff garbage\n"), uint8(4))
-	f.Add(bytes.Join([][]byte{valid[0], valid[1], []byte(`{"op":"rename"}`), valid[2]}, []byte("\n")), []byte(nil), uint8(1))
-	f.Add(bytes.Join([][]byte{valid[0], []byte(`{"op":"submit","jobs":[{"procs":"x"}]}`), valid[1]}, []byte("\n")), []byte(nil), uint8(3))
-	f.Add([]byte(`{"op":"create","id":"s000001","cfg":{"cores":0}}`), []byte(nil), uint8(0))
-	f.Add([]byte(nil), []byte("not a journal"), uint8(0))
-	f.Fuzz(func(t *testing.T, payloads, tail []byte, split uint8) {
+	f.Add(joined, []byte(nil))
+	f.Add(joined, []byte("0000002a 00000000 {\"op\":\"adv"))
+	f.Add(joined, []byte("\x00\xff garbage\n"))
+	f.Add(bytes.Join([][]byte{valid[0], valid[1], []byte(`{"op":"rename"}`), valid[2]}, []byte("\n")), []byte(nil))
+	f.Add(bytes.Join([][]byte{valid[0], []byte(`{"op":"submit","jobs":[{"procs":"x"}]}`), valid[1]}, []byte("\n")), []byte(nil))
+	f.Add([]byte(`{"op":"create","id":"s000001","cfg":{"cores":0}}`), []byte(nil))
+	f.Add([]byte(nil), []byte("not a journal"))
+	f.Fuzz(func(t *testing.T, payloads, tail []byte) {
 		var frames [][]byte
 		var want []record
 		prefix := true // every payload so far decoded to a known op
@@ -412,22 +409,19 @@ func FuzzJournalReplay(f *testing.F) {
 				want = append(want, rec)
 			}
 		}
-		k := int(split) % (len(frames) + 1)
-		segs := [][]byte{bytes.Join(frames[:k], nil), append(bytes.Join(frames[k:], nil), tail...)}
-		writeSegs := func(state string) string {
+		wal := append(bytes.Join(frames, nil), tail...)
+		writeWAL := func(state string) string {
 			dir := filepath.Join(state, "s000001")
 			if err := os.MkdirAll(dir, 0o755); err != nil {
 				t.Fatal(err)
 			}
-			for i, b := range segs {
-				if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%06d%s", i+1, segmentSuffix)), b, 0o644); err != nil {
-					t.Fatal(err)
-				}
+			if err := os.WriteFile(filepath.Join(dir, journalFile), wal, 0o644); err != nil {
+				t.Fatal(err)
 			}
 			return dir
 		}
 
-		dir := writeSegs(t.TempDir())
+		dir := writeWAL(t.TempDir())
 		got, _, err := replayJournal(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -447,7 +441,7 @@ func FuzzJournalReplay(f *testing.F) {
 		}
 
 		state := t.TempDir()
-		writeSegs(state)
+		writeWAL(state)
 		restart := func() (snap []byte, met obs.Metrics, err error) {
 			m := NewManager(Config{StateDir: state, Fsync: FsyncNever, TickInterval: time.Hour})
 			defer m.Close()

@@ -89,7 +89,11 @@ type Config struct {
 	// in-memory-only behavior, bit-identical.
 	StateDir string
 	// Fsync and FsyncEvery pick the journal durability policy (default:
-	// FsyncInterval every 100ms).
+	// FsyncInterval every 100ms). Under FsyncInterval an append syncs once
+	// FsyncEvery has passed since the last sync, and park and shutdown
+	// sync; nothing syncs a session that has gone quiet, so its last
+	// records survive a process kill (they are in the page cache) but not
+	// a power loss, for as long as it stays quiet.
 	Fsync      FsyncPolicy
 	FsyncEvery time.Duration
 }

@@ -379,7 +379,6 @@ func configKey(opt sim.Options) string {
 
 // score aggregates one replay of jobs over the pending set.
 func score(c Candidate, jobs []trace.Job, res *sim.Summary, pending []bool, nPending int) Outcome {
-	tau := sim.Options{}.WithDefaults().BsldTau // the twin never sets BsldTau
 	var waitSum, bsldSum float64
 	for i := range pending {
 		if !pending[i] {
@@ -387,7 +386,7 @@ func score(c Candidate, jobs []trace.Job, res *sim.Summary, pending []bool, nPen
 		}
 		wait := res.Waits[i]
 		waitSum += wait
-		bsldSum += trace.Bsld(wait, jobs[i].Run, tau)
+		bsldSum += trace.Bsld(wait, jobs[i].Run, trace.BsldTau)
 	}
 	return Outcome{
 		Candidate:   c,
