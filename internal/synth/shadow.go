@@ -10,7 +10,6 @@
 package synth
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 )
@@ -60,19 +59,51 @@ type shadowEnd struct {
 	procs int
 }
 
-// endHeap is a min-heap over completion times.
+// endHeap is a min-heap over completion times. push and pop sift exactly
+// as container/heap does (same index arithmetic, same strict <), so equal
+// completion times pop in container/heap's order, without boxing each
+// shadowEnd in an interface.
 type endHeap []shadowEnd
 
-func (h endHeap) Len() int            { return len(h) }
-func (h endHeap) Less(i, j int) bool  { return h[i].end < h[j].end }
-func (h endHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *endHeap) Push(x interface{}) { *h = append(*h, x.(shadowEnd)) }
-func (h *endHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+// push adds e.
+func (h *endHeap) push(e shadowEnd) {
+	q := append(*h, e)
+	j := len(q) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !(e.end < q[i].end) {
+			break
+		}
+		q[j] = q[i]
+		j = i
+	}
+	q[j] = e
+	*h = q
+}
+
+// pop removes and returns the earliest completion; h must be non-empty.
+func (h *endHeap) pop() shadowEnd {
+	q := *h
+	n := len(q) - 1
+	top, x := q[0], q[n]
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j+1 < n && q[j+1].end < q[j].end {
+			j++
+		}
+		if !(q[j].end < x.end) {
+			break
+		}
+		q[i] = q[j]
+		i = j
+	}
+	q[i] = x
+	*h = q[:n]
+	return top
 }
 
 // newShadow returns a shadow scheduler over capacity cores.
@@ -84,8 +115,8 @@ func newShadow(capacity int) *shadow {
 // jobs first-fit. onStart is invoked with (id, startTime) for each started
 // job.
 func (s *shadow) advance(now float64, onStart func(id int, start float64)) {
-	for s.minHeap.Len() > 0 && s.minHeap[0].end <= now {
-		e := heap.Pop(&s.minHeap).(shadowEnd)
+	for len(s.minHeap) > 0 && s.minHeap[0].end <= now {
+		e := s.minHeap.pop()
 		s.free += e.procs
 		s.dirty = true
 		// Start jobs at the completion instant, not at now, so recorded
@@ -134,7 +165,7 @@ func (s *shadow) drain(at float64, onStart func(id int, start float64)) {
 		}
 		if ok {
 			s.free -= j.procs
-			heap.Push(&s.minHeap, shadowEnd{end: at + j.run, procs: j.procs})
+			s.minHeap.push(shadowEnd{end: at + j.run, procs: j.procs})
 			onStart(j.id, at)
 			if j.large {
 				s.largeQueued--
@@ -174,7 +205,7 @@ func (s *shadow) submit(j shadowJob, onStart func(id int, start float64)) int {
 		// first-fit: a fitting job may jump the queue (backfill-style),
 		// within the drain deadline when a capability job is waiting.
 		s.free -= j.procs
-		heap.Push(&s.minHeap, shadowEnd{end: j.submit + j.run, procs: j.procs})
+		s.minHeap.push(shadowEnd{end: j.submit + j.run, procs: j.procs})
 		onStart(j.id, j.submit)
 	} else if j.large {
 		s.largeQueued++
@@ -204,8 +235,8 @@ func (s *shadow) queueLen() int { return len(s.queue) }
 // flush drains all remaining work after the last arrival so every job gets
 // a start time.
 func (s *shadow) flush(onStart func(id int, start float64)) {
-	for s.minHeap.Len() > 0 {
-		e := heap.Pop(&s.minHeap).(shadowEnd)
+	for len(s.minHeap) > 0 {
+		e := s.minHeap.pop()
 		s.free += e.procs
 		s.dirty = true
 		s.drain(e.end, onStart)

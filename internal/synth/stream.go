@@ -41,13 +41,15 @@ type JobStream struct {
 	now float64
 	id  int
 
-	starts  map[int]float64
 	onStart func(id int, st float64)
 
 	// buf[head:] holds generated jobs whose shadow start is not yet known
-	// (plus, at the front, any that just became emittable).
-	buf  []trace.Job
-	head int
+	// (plus, at the front, any that just became emittable). IDs are dense,
+	// so job id sits at buf[id-buf[0].ID], and starts[id-buf[0].ID] is its
+	// shadow start, NaN until the shadow starts it.
+	buf    []trace.Job
+	starts []float64
+	head   int
 
 	done bool // generator exhausted and shadows flushed
 	err  error
@@ -107,9 +109,8 @@ func (p *Profile) Stream(seed uint64) (*JobStream, error) {
 		gammaFactor: math.Gamma(1 + 1/shape),
 		wsum:        wsum,
 		horizon:     p.Days * 86400,
-		starts:      map[int]float64{},
 	}
-	s.onStart = func(id int, st float64) { s.starts[id] = st }
+	s.onStart = func(id int, st float64) { s.starts[id-s.buf[0].ID] = st }
 	return s, nil
 }
 
@@ -125,13 +126,13 @@ func (s *JobStream) Next() (trace.Job, error) {
 	for {
 		// Emit the buffer front once its shadow start is known.
 		if s.head < len(s.buf) {
-			if st, ok := s.starts[s.buf[s.head].ID]; ok {
+			if st := s.starts[s.head]; !math.IsNaN(st) {
 				j := s.buf[s.head]
-				delete(s.starts, j.ID)
 				s.head++
 				if s.head > 64 && s.head*2 > len(s.buf) {
 					n := copy(s.buf, s.buf[s.head:])
-					s.buf = s.buf[:n]
+					copy(s.starts, s.starts[s.head:])
+					s.buf, s.starts = s.buf[:n], s.starts[:n]
 					s.head = 0
 				}
 				j.Wait = st - j.Submit
@@ -202,8 +203,10 @@ func (s *JobStream) step() {
 		// capability jobs get priority-with-drain semantics.
 		large := p.Sys.Kind != trace.DL &&
 			sizeCategory3(p.Sys.Kind, j.Procs, p.Sys.TotalCores) == 2
-		sh.submit(shadowJob{id: s.id, procs: j.Procs, run: j.Run, submit: sub, large: large}, s.onStart)
+		// Buffer the job first: submit may start it at once.
 		s.buf = append(s.buf, j)
+		s.starts = append(s.starts, math.NaN())
+		sh.submit(shadowJob{id: s.id, procs: j.Procs, run: j.Run, submit: sub, large: large}, s.onStart)
 		s.id++
 		return
 	}

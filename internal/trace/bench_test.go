@@ -78,6 +78,56 @@ func TestSWFStreamReadAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkGenerateWriteHelios measures what one `tracegen -stream` run
+// does in process: one op generates a 10-day Helios trace (seed 1, ~69k
+// jobs) and writes it as SWF.
+func BenchmarkGenerateWriteHelios(b *testing.B) {
+	p := synth.Helios(10)
+	jobs := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n, err := generateWriteSWF(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		jobs += n
+	}
+	b.ReportMetric(float64(jobs)/b.Elapsed().Seconds(), "jobs/s")
+}
+
+// TestGenerateWriteAllocs bounds BenchmarkGenerateWriteHelios's
+// allocations: generating and writing a trace allocates the generator's
+// state and buffers, which grow with the shadow backlog, not one object per
+// job. The bound is 0.1 allocations per job.
+func TestGenerateWriteAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting is slow")
+	}
+	p := synth.Helios(10)
+	var jobs int
+	var runErr error
+	got := testing.AllocsPerRun(3, func() {
+		jobs, runErr = generateWriteSWF(p)
+	})
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	if got > 0.1*float64(jobs) {
+		t.Errorf("%v allocs to generate and write %d jobs, want at most %v (0.1 per job)", got, jobs, 0.1*float64(jobs))
+	}
+}
+
+// generateWriteSWF streams p's trace for seed 1 into an SWF writer on
+// io.Discard and returns the job count.
+func generateWriteSWF(p *synth.Profile) (int, error) {
+	s, err := p.Stream(1)
+	if err != nil {
+		return 0, err
+	}
+	return trace.WriteSWFStream(io.Discard, s)
+}
+
 // drainSWFStream reads an SWF trace through the streaming reader and
 // returns its job count.
 func drainSWFStream(data []byte) (int, error) {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"strconv"
 	"unicode"
 	"unicode/utf8"
@@ -20,53 +21,44 @@ var pow10 = [...]float64{
 	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 }
 
-// appendFixed2 appends x formatted as fmt's %.2f would.
-//
-// strconv's 'f' format with a fixed precision always takes the
-// multiprecision path, while 'e' with at most 18 digits takes the exact
-// Ryū fixed-precision path. For 1 <= |x| < 1e15 the digit count down to the
-// hundredths is known from the decimal exponent k (k+3 <= 17 digits), so x
-// is formatted as 'e' with k+2 fraction digits — the same correctly
-// rounded, round-half-even digits — and laid out as fixed point. Zero is
-// written directly; every other value takes strconv's 'f' path.
+// appendFixed2 appends x formatted as fmt's %.2f would: the exact binary
+// value rounded half to even at the hundredths. For |x| < 2^56, x is
+// mant·2^e with mant < 2^53, so 100·mant < 2^60 and the hundredths count
+// n = round(100·mant·2^e) is a shift of 100·mant plus a comparison of the
+// shifted-out bits with one half. NaN, ±Inf and |x| >= 2^56 take strconv's
+// 'f' path.
 func appendFixed2(dst []byte, x float64) []byte {
-	ax := x
-	if x < 0 {
-		ax = -x
-	}
-	if x == 0 {
-		if 1/x < 0 {
-			return append(dst, "-0.00"...)
-		}
-		return append(dst, "0.00"...)
-	}
-	if !(ax >= 1 && ax < 1e15) { // also catches NaN
+	bits := math.Float64bits(x)
+	exp := int(bits>>52) & 0x7ff
+	if exp >= 1023+56 {
 		return strconv.AppendFloat(dst, x, 'f', 2, 64)
 	}
-	if x < 0 {
-		dst = append(dst, '-')
+	if bits>>63 != 0 {
+		dst = append(dst, '-') // also for -0 and negatives that round to zero
 	}
-	k := 0
-	for ax >= pow10[k+1] {
-		k++
+	mant := bits & (1<<52 - 1)
+	if exp == 0 {
+		exp = 1 // subnormal
+	} else {
+		mant |= 1 << 52
 	}
-	// t is "d.ddd…de+EE": the k+3 significant digits d0…d(k+2) at t[0] and
-	// t[2:k+4], then a two-digit exponent (E < 100).
-	start := len(dst)
-	dst = strconv.AppendFloat(dst, ax, 'e', k+2, 64)
-	t := dst[start:]
-	exp := int(t[len(t)-2]-'0')*10 + int(t[len(t)-1]-'0')
-	// d1…dk move left over the point; the two hundredths digits already
-	// sit where the fixed-point layout wants them.
-	copy(t[1:k+1], t[2:k+2])
-	t[k+1] = '.'
-	if exp == k {
-		return dst[:start+k+4]
+	// |x| = mant·2^(exp-1075); n becomes round(100·|x|).
+	n := 100 * mant
+	switch shift := 1075 - exp; {
+	case shift <= 0:
+		n <<= uint(-shift)
+	case shift > 60: // 100·mant < 2^60 <= half: rounds to zero
+		n = 0
+	default:
+		rem, half := n&(1<<shift-1), uint64(1)<<(shift-1)
+		n >>= shift
+		if rem > half || rem == half && n&1 == 1 {
+			n++
+		}
 	}
-	// Rounding carried into a new leading digit (9.996 -> 1.00e+01): every
-	// digit after the 1 is zero and the integer part gains one.
-	t[k+1], t[k+2], t[k+3], t[k+4] = '0', '.', '0', '0'
-	return dst[:start+k+5]
+	dst = strconv.AppendUint(dst, n/100, 10)
+	f := n % 100
+	return append(dst, '.', byte('0'+f/10), byte('0'+f%10))
 }
 
 // parseSWFNum parses an SWF numeric field exactly as strconv.ParseFloat

@@ -20,8 +20,9 @@ func checkFixed2(t *testing.T, x float64) {
 
 // TestAppendFixed2MatchesFmt pins the SWF writer's fixed-point formatter to
 // fmt's %.2f on random bit patterns, on values one ulp either side of the
-// n.5/100 rounding ties, around every power of ten and the 1e15 cut-over
-// to strconv's 'f' path, and on the special values.
+// n.5/100 rounding ties, around every power of ten, around 2^53 (the last
+// exact integers) and the 2^56 cut-over to strconv's 'f' path, on
+// subnormals and tiny negatives, and on the special values.
 func TestAppendFixed2MatchesFmt(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261017))
 	var xs []float64
@@ -43,6 +44,17 @@ func TestAppendFixed2MatchesFmt(t *testing.T) {
 		xs = append(xs, p, math.Nextafter(p, 0), math.Nextafter(p, math.Inf(1)),
 			p-0.005, p-0.004, p-0.006, p+0.005)
 	}
+	for _, p := range []float64{1 << 52, 1 << 53, 1 << 54, 1 << 55, 1 << 56, 1 << 57} {
+		xs = append(xs, p, math.Nextafter(p, 0), math.Nextafter(p, math.Inf(1)),
+			math.Nextafter(math.Nextafter(p, 0), 0), p-1, p+2, p-0.5, p-0.25)
+	}
+	// Subnormals, the smallest normals, and values that round to zero.
+	for i := 0; i < 2000; i++ {
+		xs = append(xs, math.Float64frombits(rng.Uint64()&(1<<52-1)),
+			math.Float64frombits(rng.Uint64()&(1<<53-1)), rng.Float64()*0.01)
+	}
+	xs = append(xs, 0x1p-1022, math.Nextafter(0x1p-1022, 0), 0.004, 0.0049999, 0.00500001,
+		1e-300, 1e-20, 0x1p-60, 0x1p-61, 0x1p-62)
 	xs = append(xs, 1e15, math.Nextafter(1e15, 0), math.Nextafter(1e15, math.Inf(1)),
 		999999999999999.99, 999999999999999.994, 999999999999999.996,
 		9.995, 9.996, 99.995, 99.996, 0.995, 0.005, 0.0049, 1, math.Nextafter(1, 0),
@@ -51,6 +63,11 @@ func TestAppendFixed2MatchesFmt(t *testing.T) {
 	for _, x := range xs {
 		checkFixed2(t, x)
 		checkFixed2(t, -x)
+	}
+	for x, want := range map[float64]string{-0.004: "-0.00", -0.005: "-0.01", 0.125: "0.12", 0.375: "0.38", -1e-310: "-0.00"} {
+		if got := string(appendFixed2(nil, x)); got != want {
+			t.Errorf("appendFixed2(%v) = %q, want %q", x, got, want)
+		}
 	}
 }
 

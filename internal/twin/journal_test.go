@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -271,13 +272,11 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	})
 }
 
-// TestJournalRefusesSecondSegment: a journal that an earlier, rotating
-// version split into 000001.wal and 000002.wal is not recovered from its
-// first segment alone; the session stays unserved and both files stay
-// byte-identical for the version that can read them.
-func TestJournalRefusesSecondSegment(t *testing.T) {
-	state := t.TempDir()
-	dir := filepath.Join(state, "s000001")
+// writeTwoSegments writes the journal an earlier, rotating version split
+// into 000001.wal and 000002.wal (with a torn tail) under dir, and returns
+// the contents of both files.
+func writeTwoSegments(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
 	recs := testRecords()
 	writeJournal(t, dir, journalOpts{}, recs[:3])
 	first, err := os.ReadFile(filepath.Join(dir, journalFile))
@@ -296,15 +295,13 @@ func TestJournalRefusesSecondSegment(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, secondSegment), second, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return map[string][]byte{journalFile: first, secondSegment: second}
+}
 
-	m := testManager(t, Config{StateDir: state})
-	if got := m.Metrics(); got.TwinRecovered != 0 || got.TwinTruncations != 0 {
-		t.Fatalf("recovery metrics = %+v, want nothing recovered or truncated", got)
-	}
-	if _, err := m.Get("s000001"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Get on a two-segment journal: err = %v, want ErrNotFound", err)
-	}
-	for name, want := range map[string][]byte{journalFile: first, secondSegment: second} {
+// checkFiles fails t unless dir holds exactly the given file contents.
+func checkFiles(t *testing.T, dir string, files map[string][]byte) {
+	t.Helper()
+	for name, want := range files {
 		got, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
@@ -313,6 +310,55 @@ func TestJournalRefusesSecondSegment(t *testing.T) {
 			t.Fatalf("%s changed by the refused recovery (%d -> %d bytes)", name, len(want), len(got))
 		}
 	}
+}
+
+// TestJournalRefusesSecondSegment: a journal that an earlier, rotating
+// version split into 000001.wal and 000002.wal is not recovered from its
+// first segment alone; the session stays unserved and both files stay
+// byte-identical for the version that can read them.
+func TestJournalRefusesSecondSegment(t *testing.T) {
+	state := t.TempDir()
+	dir := filepath.Join(state, "s000001")
+	files := writeTwoSegments(t, dir)
+
+	m := testManager(t, Config{StateDir: state})
+	if got := m.Metrics(); got.TwinRecovered != 0 || got.TwinTruncations != 0 {
+		t.Fatalf("recovery metrics = %+v, want nothing recovered or truncated", got)
+	}
+	if _, err := m.Get("s000001"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get on a two-segment journal: err = %v, want ErrNotFound", err)
+	}
+	checkFiles(t, dir, files)
+}
+
+// TestParkedUnrecoverableNotFound: a session past MaxSessions at startup is
+// parked without being read, so a journal that cannot be recovered is only
+// found by the first Get. That Get drops the ID as startup would have:
+// every Get answers ErrNotFound, the answer does not show the state
+// directory, and the files stay byte-identical.
+func TestParkedUnrecoverableNotFound(t *testing.T) {
+	state := t.TempDir()
+	writeJournal(t, filepath.Join(state, "s000001"), journalOpts{}, testRecords())
+	dir := filepath.Join(state, "s000002")
+	files := writeTwoSegments(t, dir)
+
+	m := testManager(t, Config{StateDir: state, MaxSessions: 1})
+	if got := m.Metrics(); got.TwinRecovered != 1 {
+		t.Fatalf("recovered %d sessions at startup, want 1", got.TwinRecovered)
+	}
+	for i := 0; i < 2; i++ {
+		_, err := m.Get("s000002")
+		if !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Get %d on an unrecoverable parked session: err = %v, want ErrNotFound", i, err)
+		}
+		if strings.Contains(err.Error(), state) {
+			t.Fatalf("Get %d: error %q shows the state directory", i, err)
+		}
+	}
+	if _, err := m.Get("s000001"); err != nil {
+		t.Fatalf("Get on the recovered session: %v", err)
+	}
+	checkFiles(t, dir, files)
 }
 
 // TestJournalRecoversColdWhatIfField: journals written while sessions

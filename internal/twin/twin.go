@@ -397,7 +397,8 @@ func (m *Manager) awaitParkLocked(id string) {
 // Get returns the session and marks it most recently used. A session that
 // LRU eviction is parking is waited for, and a parked session is
 // transparently reactivated from its journal (single-flight: concurrent
-// Gets share one recovery).
+// Gets share one recovery). A parked session whose journal cannot be
+// recovered is dropped as at startup: ErrNotFound, its files untouched.
 func (m *Manager) Get(id string) (*Session, error) {
 	m.mu.Lock()
 	m.awaitParkLocked(id)
@@ -432,21 +433,26 @@ func (m *Manager) Get(id string) (*Session, error) {
 	if truncated {
 		m.metrics.TwinTruncations++
 	}
-	if err == nil && m.closed {
-		err = ErrClosed
-	}
-	if err == nil {
+	switch {
+	case err != nil:
+		// Unrecoverable, as at startup: stop serving the ID and leave its
+		// files untouched. The cause names state-dir paths, which stay
+		// out of the answer.
+		delete(m.parked, id)
+		op.err = fmt.Errorf("%w: %q", ErrNotFound, id)
+	case m.closed:
+		op.err = ErrClosed
+	default:
 		delete(m.parked, id)
 		m.metrics.TwinRecovered++
 		m.metrics.TwinReactivated++
 		victims = m.insertLocked(s)
 	}
 	m.mu.Unlock()
-	if err != nil {
+	if op.err != nil {
 		if s != nil {
 			s.Close()
 		}
-		op.err = fmt.Errorf("twin: reactivate %q: %w", id, err)
 		close(op.done)
 		return nil, op.err
 	}

@@ -2,7 +2,8 @@
 # bench.sh — run the simulator benchmarks and emit a machine-readable JSON
 # summary. CI runs it once as a smoke test; timing comparisons between
 # commits belong to the repository benchmark (perfbench/), and allocation
-# counts are pinned by go test (TestHotPathAllocs, TestSWFStreamReadAllocs).
+# counts are pinned by go test (TestHotPathAllocs, TestSWFStreamReadAllocs,
+# TestGenerateWriteAllocs).
 #
 # Usage:
 #   scripts/bench.sh [pattern] [count] [out.json]
@@ -36,7 +37,7 @@ cd "$(dirname "$0")/.."
 
 # The root package holds the simulator and sweep benchmarks; internal/twin
 # holds the digital-twin session benchmark and internal/trace the SWF codec
-# benchmarks.
+# and generate + write benchmarks.
 raw=$(go test -run '^$' -bench "$pattern" -benchmem -count "$count" . ./internal/twin ./internal/trace)
 printf '%s\n' "$raw" >&2
 
