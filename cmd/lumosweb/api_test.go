@@ -700,12 +700,6 @@ func TestTwinRecoveryOverHTTP(t *testing.T) {
 	// "Restart": a second manager over the same dir while the first is
 	// simply abandoned (closed only at test cleanup, like a kill).
 	srv2, _ := twinServer(t, cfg)
-	var mets struct {
-		TwinRecovered int64 `json:"twin_recovered"`
-	}
-	if code := getJSON(t, srv2.URL+"/twin/metrics", &mets); code != http.StatusOK || mets.TwinRecovered != 1 {
-		t.Fatalf("metrics after restart: code %d, %+v", code, mets)
-	}
 	base2 := srv2.URL + "/session/" + snap.ID
 	resp, err = http.Get(base2 + "/log")
 	if err != nil {
@@ -715,6 +709,12 @@ func TestTwinRecoveryOverHTTP(t *testing.T) {
 	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
+	}
+	var mets struct {
+		TwinRecovered int64 `json:"twin_recovered"`
+	}
+	if code := getJSON(t, srv2.URL+"/twin/metrics", &mets); code != http.StatusOK || mets.TwinRecovered != 1 {
+		t.Fatalf("metrics after the first request: code %d, %+v", code, mets)
 	}
 	if !bytes.Equal(pre, post2) {
 		t.Fatalf("recovered log differs:\npre  %d bytes\npost %d bytes", len(pre), len(post2))

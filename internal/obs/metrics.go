@@ -54,12 +54,12 @@ type Metrics struct {
 	JobsRetired   int64 `json:"jobs_retired,omitempty"`
 	// Twin-service durability counters (zero — and omitted — outside the
 	// twin service, which maintains one Metrics per manager): sessions
-	// rebuilt from their write-ahead journal (at startup or on parked-
-	// session reactivation), torn or corrupt journal tails truncated at
-	// the first bad frame, sessions spilled to disk by LRU eviction,
-	// parked sessions transparently reactivated on lookup, and sessions
-	// degraded to ephemeral (journal-less) mode after a journal write
-	// failure.
+	// rebuilt from their write-ahead journal, torn or corrupt journal
+	// tails truncated at the first bad frame, sessions spilled to disk by
+	// LRU eviction, parked sessions transparently reactivated on lookup,
+	// and sessions degraded to ephemeral (journal-less) mode after a
+	// journal write failure. Startup parks every journaled session, so
+	// each recovery is a reactivation and the two counters agree.
 	TwinRecovered   int64 `json:"twin_recovered,omitempty"`
 	TwinTruncations int64 `json:"twin_truncations,omitempty"`
 	TwinParked      int64 `json:"twin_parked,omitempty"`

@@ -29,7 +29,7 @@ import (
 // header makes torn tails detectable (a crash mid-write leaves a short or
 // CRC-failing final frame) and in-place corruption detectable anywhere.
 // Recovery truncates at the FIRST bad frame — every fsync-acknowledged
-// prefix before it survives — instead of failing startup.
+// prefix before it survives — instead of refusing the session.
 //
 // Each session journals to one append-only file, <dir>/000001.wal. Earlier
 // versions rotated journals into numbered segments past 1 MiB and gave the

@@ -331,11 +331,11 @@ func TestJournalRefusesSecondSegment(t *testing.T) {
 	checkFiles(t, dir, files)
 }
 
-// TestParkedUnrecoverableNotFound: a session past MaxSessions at startup is
-// parked without being read, so a journal that cannot be recovered is only
-// found by the first Get. That Get drops the ID as startup would have:
-// every Get answers ErrNotFound, the answer does not show the state
-// directory, and the files stay byte-identical.
+// TestParkedUnrecoverableNotFound: startup parks every session without
+// reading its journal, so a journal that cannot be recovered is only found
+// by the first Get. That Get drops the ID: every Get answers ErrNotFound,
+// the answer does not show the state directory, and the files stay
+// byte-identical.
 func TestParkedUnrecoverableNotFound(t *testing.T) {
 	state := t.TempDir()
 	writeJournal(t, filepath.Join(state, "s000001"), journalOpts{}, testRecords())
@@ -343,9 +343,6 @@ func TestParkedUnrecoverableNotFound(t *testing.T) {
 	files := writeTwoSegments(t, dir)
 
 	m := testManager(t, Config{StateDir: state, MaxSessions: 1})
-	if got := m.Metrics(); got.TwinRecovered != 1 {
-		t.Fatalf("recovered %d sessions at startup, want 1", got.TwinRecovered)
-	}
 	for i := 0; i < 2; i++ {
 		_, err := m.Get("s000002")
 		if !errors.Is(err, ErrNotFound) {
@@ -357,6 +354,9 @@ func TestParkedUnrecoverableNotFound(t *testing.T) {
 	}
 	if _, err := m.Get("s000001"); err != nil {
 		t.Fatalf("Get on the recovered session: %v", err)
+	}
+	if got := m.Metrics(); got.TwinRecovered != 1 {
+		t.Fatalf("recovered %d sessions, want 1", got.TwinRecovered)
 	}
 	checkFiles(t, dir, files)
 }
@@ -388,12 +388,12 @@ func TestJournalRecoversColdWhatIfField(t *testing.T) {
 	}
 
 	m := testManager(t, Config{StateDir: dir})
-	if got := m.Metrics(); got.TwinRecovered != 1 || got.TwinTruncations != 0 {
-		t.Fatalf("recovery metrics = %+v, want 1 recovered, 0 truncations", got)
-	}
 	s, err := m.Get("s000001")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := m.Metrics(); got.TwinRecovered != 1 || got.TwinTruncations != 0 {
+		t.Fatalf("recovery metrics = %+v, want 1 recovered, 0 truncations", got)
 	}
 	req := WhatIfRequest{Candidates: []Candidate{{Policy: "sjf"}, {Backfill: "conservative"}}}
 	got, err := s.WhatIf(context.Background(), req)

@@ -42,7 +42,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -83,9 +82,10 @@ type Config struct {
 	// sessions advance (default 1s).
 	TickInterval time.Duration
 	// StateDir, when non-empty, makes sessions durable: each gets a
-	// write-ahead journal under StateDir/<id>/, NewManager recovers
-	// journaled sessions on startup, and LRU eviction parks sessions to
-	// disk instead of destroying them. Empty (the default) keeps today's
+	// write-ahead journal under StateDir/<id>/, LRU eviction parks
+	// sessions to disk instead of destroying them, and NewManager
+	// registers every journaled session found there as parked, to be
+	// recovered on its first Get. Empty (the default) keeps today's
 	// in-memory-only behavior, bit-identical.
 	StateDir string
 	// Fsync and FsyncEvery pick the journal durability policy (default:
@@ -154,10 +154,12 @@ type recoverOp struct {
 var sessionID = regexp.MustCompile(`^s(\d{6,})$`)
 
 // NewManager starts a manager (and its single ticker goroutine). With
-// StateDir set it first recovers every journaled session found there —
-// torn or corrupt journal tails are truncated at the first bad frame, not
-// fatal — loading up to MaxSessions into memory (newest last, so they are
-// most recently used) and registering any surplus as parked.
+// StateDir set it first registers every session directory found there as
+// parked, reading no journal, and continues the ID sequence past them.
+// Each session is recovered on its first Get, like any parked session: a
+// torn or corrupt journal tail is truncated at the first bad frame, an
+// unrecoverable journal answers ErrNotFound, and a session with a
+// TickRate resumes ticking only from then on.
 func NewManager(cfg Config) *Manager {
 	m := &Manager{
 		cfg:      cfg.withDefaults(),
@@ -170,48 +172,32 @@ func NewManager(cfg Config) *Manager {
 		done:     make(chan struct{}),
 	}
 	if m.cfg.StateDir != "" {
-		m.recoverAll()
+		m.scanStateDir()
 	}
 	go m.tickLoop()
 	return m
 }
 
-// recoverAll scans StateDir and rebuilds sessions. It runs before the
-// manager is published, so no locking is needed; failures skip the
-// directory (the journal stays on disk untouched) rather than failing
-// startup.
-func (m *Manager) recoverAll() {
+// scanStateDir registers every session directory in StateDir as parked and
+// advances the ID sequence past them. It reads and opens no journal: the
+// first Get of a session recovers it (see Get), so restart cost follows
+// the directory listing, not the sessions' logs. It runs before the
+// manager is published, so no locking is needed.
+func (m *Manager) scanStateDir() {
 	_ = os.MkdirAll(m.cfg.StateDir, 0o755)
 	ents, err := os.ReadDir(m.cfg.StateDir)
 	if err != nil {
 		return
 	}
-	var ids []string
 	for _, e := range ents {
-		if e.IsDir() && sessionID.MatchString(e.Name()) {
-			ids = append(ids, e.Name())
+		match := sessionID.FindStringSubmatch(e.Name())
+		if !e.IsDir() || match == nil {
+			continue
 		}
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		if n, err := strconv.ParseUint(sessionID.FindStringSubmatch(id)[1], 10, 64); err == nil && n > m.seq {
+		if n, err := strconv.ParseUint(match[1], 10, 64); err == nil && n > m.seq {
 			m.seq = n
 		}
-		if m.lru.Len() >= m.cfg.MaxSessions {
-			// Surplus stays on disk; the first Get reactivates it (and
-			// parks a colder session in exchange).
-			m.parked[id] = true
-			continue
-		}
-		s, truncated, err := m.recoverSession(id)
-		if truncated {
-			m.metrics.TwinTruncations++
-		}
-		if err != nil {
-			continue
-		}
-		m.sessions[id] = m.lru.PushFront(s)
-		m.metrics.TwinRecovered++
+		m.parked[e.Name()] = true
 	}
 }
 
@@ -398,7 +384,7 @@ func (m *Manager) awaitParkLocked(id string) {
 // LRU eviction is parking is waited for, and a parked session is
 // transparently reactivated from its journal (single-flight: concurrent
 // Gets share one recovery). A parked session whose journal cannot be
-// recovered is dropped as at startup: ErrNotFound, its files untouched.
+// recovered is dropped: ErrNotFound, its files untouched.
 func (m *Manager) Get(id string) (*Session, error) {
 	m.mu.Lock()
 	m.awaitParkLocked(id)
@@ -435,8 +421,8 @@ func (m *Manager) Get(id string) (*Session, error) {
 	}
 	switch {
 	case err != nil:
-		// Unrecoverable, as at startup: stop serving the ID and leave its
-		// files untouched. The cause names state-dir paths, which stay
+		// Unrecoverable: stop serving the ID and leave its files
+		// untouched. The cause names state-dir paths, which stay
 		// out of the answer.
 		delete(m.parked, id)
 		op.err = fmt.Errorf("%w: %q", ErrNotFound, id)

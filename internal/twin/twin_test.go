@@ -914,12 +914,12 @@ func TestJournalCrashRecovery(t *testing.T) {
 	// "Crash": m1 is simply never closed before m2 takes over the dir
 	// (testManager's cleanup closes it at test end, after the comparison).
 	m2 := testManager(t, durable)
-	if got := m2.Metrics(); got.TwinRecovered != 1 || got.TwinTruncations != 0 {
-		t.Fatalf("recovery metrics = %+v, want 1 recovered, 0 truncations", got)
-	}
 	s2, err := m2.Get(s1.ID)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := m2.Metrics(); got.TwinRecovered != 1 || got.TwinTruncations != 0 {
+		t.Fatalf("recovery metrics = %+v, want 1 recovered, 0 truncations", got)
 	}
 	post, err := s2.EmittedPrefix()
 	if err != nil {
@@ -956,8 +956,9 @@ func TestJournalCrashRecovery(t *testing.T) {
 }
 
 // TestJournalTornTailRecovery corrupts the journal tail between runs: the
-// next manager must truncate at the bad frame, count it, and recover the
-// clean prefix.
+// next manager must leave the journal unread until the session's first
+// Get, which truncates at the bad frame, counts it, and recovers the clean
+// prefix.
 func TestJournalTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
 	durable := Config{StateDir: dir, Fsync: FsyncAlways, TickInterval: time.Hour}
@@ -984,13 +985,27 @@ func TestJournalTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	torn, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	m2 := testManager(t, durable)
-	if got := m2.Metrics(); got.TwinRecovered != 1 || got.TwinTruncations != 1 {
-		t.Fatalf("metrics = %+v, want 1 recovered, 1 truncation", got)
+	if got, err := os.ReadFile(seg); err != nil || !bytes.Equal(got, torn) {
+		t.Fatalf("journal changed by startup (%d -> %d bytes, err %v)", len(torn), len(got), err)
+	}
+	if got := m2.Metrics(); got.TwinRecovered != 0 || got.TwinTruncations != 0 {
+		t.Fatalf("metrics after startup = %+v, want 0 recovered, 0 truncations", got)
 	}
 	s2, err := m2.Get(s1.ID)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(seg); err != nil || len(got) >= len(torn) || !bytes.HasPrefix(torn, got) {
+		t.Fatalf("journal after first Get: %d of %d bytes (err %v), want a shorter prefix", len(got), len(torn), err)
+	}
+	if got := m2.Metrics(); got.TwinRecovered != 1 || got.TwinTruncations != 1 {
+		t.Fatalf("metrics = %+v, want 1 recovered, 1 truncation", got)
 	}
 	snap, err := s2.Status()
 	if err != nil {
