@@ -1,6 +1,7 @@
 package crosssched
 
 import (
+	"context"
 	"testing"
 
 	"crosssched/internal/sim"
@@ -43,7 +44,7 @@ func TestHotPathAllocs(t *testing.T) {
 		// A fresh Runner per run, as one schedsim -stream process pays:
 		// window pages, arena and queue growth included.
 		{"RunStream/cold", 74, 5, func() error {
-			_, err := sim.NewRunner().RunStream(trace.NewSliceStream(tr), opt, sink)
+			_, err := sim.NewRunner().RunStreamContext(context.Background(), trace.NewSliceStream(tr), opt, sink)
 			return err
 		}},
 	} {

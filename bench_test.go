@@ -254,7 +254,7 @@ func BenchmarkAblationPolicyMatrix(b *testing.B) {
 	bfs := []sim.BackfillKind{sim.NoBackfill, sim.EASY}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.PolicyMatrix(tr, pols, bfs); err != nil {
+		if _, err := experiments.PolicyMatrix(context.Background(), tr, pols, bfs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -265,7 +265,7 @@ func BenchmarkAblationRelaxSweep(b *testing.B) {
 	tr := benchTrace(b, "Theta", 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RelaxFactorSweep(tr, []float64{0.05, 0.1, 0.2}); err != nil {
+		if _, err := experiments.RelaxFactorSweep(context.Background(), tr, []float64{0.05, 0.1, 0.2}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -277,7 +277,7 @@ func BenchmarkAblationPredictionBackfill(b *testing.B) {
 	tr := benchTrace(b, "Theta", 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.PredictionBackfill(tr); err != nil {
+		if _, err := experiments.PredictionBackfill(context.Background(), tr); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -319,7 +319,7 @@ func BenchmarkStatusPrediction(b *testing.B) {
 func BenchmarkHybridSweep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.HybridSweep(2, 1, []float64{0, 0.5}); err != nil {
+		if _, err := experiments.HybridSweep(context.Background(), 2, 1, []float64{0, 0.5}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -340,7 +340,7 @@ func BenchmarkRelaxFactorSweep(b *testing.B) {
 	factors := []float64{0.05, 0.1, 0.15, 0.2, 0.3, 0.4}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RelaxFactorSweep(tr, factors); err != nil {
+		if _, err := experiments.RelaxFactorSweep(context.Background(), tr, factors); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -452,7 +452,7 @@ func BenchmarkStreamColdHelios(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.NewRunner().RunStream(trace.NewSliceStream(tr), opt, sink); err != nil {
+		if _, err := sim.NewRunner().RunStreamContext(context.Background(), trace.NewSliceStream(tr), opt, sink); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -534,7 +534,7 @@ func BenchmarkLearnedSchedulerTraining(b *testing.B) {
 	tr := benchTrace(b, "Theta", 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := rl.Train(tr, rl.TrainConfig{
+		if _, _, err := rl.Train(context.Background(), tr, rl.TrainConfig{
 			Iterations: 5, Population: 4, Seed: 1, Backfill: sim.EASY,
 		}); err != nil {
 			b.Fatal(err)

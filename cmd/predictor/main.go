@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -64,7 +65,7 @@ func run(system, input string, days float64, seed uint64, models string, status,
 		}
 	}
 	if faultaware {
-		res, err := experiments.FaultAware(tr, nil, 300)
+		res, err := experiments.FaultAware(context.Background(), tr, nil, 300)
 		if err != nil {
 			return err
 		}

@@ -179,7 +179,7 @@ func run(cfg runConfig) error {
 		fmt.Print(figures.RenderTableII([]figures.TableIIRow{*row}))
 		return nil
 	case cfg.matrix:
-		cells, err := experiments.PolicyMatrixContext(ctx, tr, sim.Policies,
+		cells, err := experiments.PolicyMatrix(ctx, tr, sim.Policies,
 			[]sim.BackfillKind{sim.NoBackfill, sim.EASY, sim.Conservative, sim.Relaxed, sim.AdaptiveRelaxed})
 		if err != nil {
 			return err
@@ -187,14 +187,14 @@ func run(cfg runConfig) error {
 		fmt.Print(experiments.RenderPolicyMatrix(tr.System.Name, cells))
 		return nil
 	case cfg.sweep:
-		pts, err := experiments.RelaxFactorSweepContext(ctx, tr, []float64{0.05, 0.1, 0.15, 0.2, 0.3, 0.4})
+		pts, err := experiments.RelaxFactorSweep(ctx, tr, []float64{0.05, 0.1, 0.15, 0.2, 0.3, 0.4})
 		if err != nil {
 			return err
 		}
 		fmt.Print(experiments.RenderSweep(tr.System.Name, pts))
 		return nil
 	case cfg.estimates:
-		res, err := experiments.PredictionBackfillContext(ctx, tr)
+		res, err := experiments.PredictionBackfill(ctx, tr)
 		if err != nil {
 			return err
 		}
@@ -534,7 +534,7 @@ func writeMetrics(path string, met *obs.Metrics) error {
 
 // runLearned trains an ES policy on the trace and prints the comparison.
 func runLearned(ctx context.Context, tr *trace.Trace) error {
-	policy, history, err := rl.TrainContext(ctx, tr, rl.TrainConfig{
+	policy, history, err := rl.Train(ctx, tr, rl.TrainConfig{
 		Iterations: 20, Population: 8, Seed: 1, Backfill: sim.EASY,
 	})
 	if err != nil {

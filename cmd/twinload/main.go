@@ -10,11 +10,11 @@
 //
 // scripts/loadtest.sh wires the two together and checks graceful shutdown.
 //
-// Crash-test knobs (scripts/crashtest.sh): -kill-pid/-kill-after SIGKILL
-// the server mid-load — transport failures after the kill are expected and
-// don't fail the run — and -resume drives existing sessions s000001..K
-// (created by an earlier run and recovered from their journals) instead of
-// creating new ones.
+// Crash-test knobs (scripts/crashtest.sh): -kill-pid SIGKILLs the server
+// once half of the wave's planned requests have been answered — transport
+// failures after the kill are expected and don't fail the run — and
+// -resume drives existing sessions s000001..K (created by an earlier run
+// and recovered from their journals) instead of creating new ones.
 package main
 
 import (
@@ -81,39 +81,50 @@ func classify(err error) failClass {
 
 func main() {
 	var (
-		url       = flag.String("url", "http://localhost:8080", "lumosweb base URL")
-		sessions  = flag.Int("sessions", 1000, "concurrent twin sessions to drive")
-		submits   = flag.Int("submits", 3, "submission batches per session")
-		jobs      = flag.Int("jobs", 5, "jobs per submission batch")
-		workers   = flag.Int("workers", 64, "concurrent client workers")
-		timeout   = flag.Duration("timeout", 30*time.Second, "per-request timeout")
-		keep      = flag.Bool("keep", true, "leave sessions live (server holds all K at once; exercises shutdown teardown)")
-		advance   = flag.Float64("advance", 300, "simulated seconds the clock advances per batch; large values age the log so what-ifs query a deep history, the warm-start regime")
-		resume    = flag.Bool("resume", false, "drive existing sessions s000001..s<K> (recovered server state) instead of creating new ones")
-		killPID   = flag.Int("kill-pid", 0, "SIGKILL this process kill-after into the load (crash testing; 0 = off)")
-		killAfter = flag.Duration("kill-after", 500*time.Millisecond, "delay before -kill-pid fires")
-		retries   = flag.Int("retries", 2, "extra attempts after a 429, honoring Retry-After")
+		url      = flag.String("url", "http://localhost:8080", "lumosweb base URL")
+		sessions = flag.Int("sessions", 1000, "concurrent twin sessions to drive")
+		submits  = flag.Int("submits", 3, "submission batches per session")
+		jobs     = flag.Int("jobs", 5, "jobs per submission batch")
+		workers  = flag.Int("workers", 64, "concurrent client workers")
+		timeout  = flag.Duration("timeout", 30*time.Second, "per-request timeout")
+		keep     = flag.Bool("keep", true, "leave sessions live (server holds all K at once; exercises shutdown teardown)")
+		advance  = flag.Float64("advance", 300, "simulated seconds the clock advances per batch; large values age the log so what-ifs query a deep history, the warm-start regime")
+		resume   = flag.Bool("resume", false, "drive existing sessions s000001..s<K> (recovered server state) instead of creating new ones")
+		killPID  = flag.Int("kill-pid", 0, "SIGKILL this process once half of the wave's requests are answered (crash testing; 0 = off)")
+		retries  = flag.Int("retries", 2, "extra attempts after a 429, honoring Retry-After")
 	)
 	flag.Parse()
 	base := strings.TrimRight(*url, "/")
 	client := &http.Client{Timeout: *timeout}
 
-	// The kill timer is armed before the load starts and always fires,
-	// even if the load finishes first: the crash test depends on the
-	// server actually dying.
-	var killedAt atomic.Int64 // unix nanos; 0 = not yet
-	killDone := make(chan struct{})
-	if *killPID > 0 {
-		go func() {
-			defer close(killDone)
-			time.Sleep(*killAfter)
+	// Each session sends one create (or resume GET), a submit, what-if and
+	// advance per batch, and a delete unless kept. The kill fires once half
+	// of those are answered, so it lands in the middle of the wave however
+	// fast the server is, and fires after the load regardless: the crash
+	// test depends on the server actually dying.
+	planned := *sessions * (1 + 3*(*submits))
+	if !*keep {
+		planned += *sessions
+	}
+	var (
+		killedAt atomic.Int64 // unix nanos; 0 = not yet
+		killedIn int64        // requests answered when the kill fired
+		answered atomic.Int64
+		killOnce sync.Once
+	)
+	kill := func() {
+		killOnce.Do(func() {
+			killedIn = answered.Load()
 			killedAt.Store(time.Now().UnixNano())
 			if p, err := os.FindProcess(*killPID); err == nil {
 				_ = p.Kill()
 			}
-		}()
-	} else {
-		close(killDone)
+		})
+	}
+	onAnswer := func() {
+		if n := answered.Add(1); *killPID > 0 && n >= int64(planned/2) {
+			kill()
+		}
 	}
 
 	var (
@@ -145,7 +156,7 @@ func main() {
 		mu.Unlock()
 	}
 
-	d := &driver{client: client, base: base, retries: *retries, onRetry: onRetry}
+	d := &driver{client: client, base: base, retries: *retries, onRetry: onRetry, onAnswer: onAnswer}
 	ctx := par.WithLimit(context.Background(), *workers)
 	start := time.Now()
 	_ = par.ForEach(ctx, *sessions, func(ctx context.Context, i int) error {
@@ -159,7 +170,11 @@ func main() {
 		return nil // keep driving the rest; errors are counted, not fatal
 	})
 	elapsed := time.Since(start)
-	<-killDone
+	if *killPID > 0 {
+		kill()
+		fmt.Printf("twinload: killed pid %d after %d of %d planned requests were answered\n",
+			*killPID, killedIn, planned)
+	}
 
 	fmt.Printf("twinload: %d sessions x %d submits in %v (%.1f sessions/sec)\n",
 		*sessions, *submits, elapsed.Round(time.Millisecond),
@@ -197,10 +212,11 @@ func main() {
 }
 
 type driver struct {
-	client  *http.Client
-	base    string
-	retries int
-	onRetry func()
+	client   *http.Client
+	base     string
+	retries  int
+	onRetry  func()
+	onAnswer func() // called once per request answered with a 2xx
 }
 
 // driveSession runs one session end to end against the HTTP API. With
@@ -263,11 +279,14 @@ func (d *driver) driveSession(i, submits, jobs int, keep, resume bool, advance f
 // Shed replies (429) are retried up to d.retries times after sleeping the
 // server's Retry-After hint — the cooperative response to load shedding.
 func (d *driver) call(method, url, body string, out interface{}) error {
-	var err error
 	for attempt := 0; ; attempt++ {
-		err = d.callOnce(method, url, body, out)
+		err := d.callOnce(method, url, body, out)
+		if err == nil {
+			d.onAnswer()
+			return nil
+		}
 		var se *statusError
-		if err == nil || !errors.As(err, &se) || se.code != http.StatusTooManyRequests || attempt >= d.retries {
+		if !errors.As(err, &se) || se.code != http.StatusTooManyRequests || attempt >= d.retries {
 			return err
 		}
 		d.onRetry()

@@ -1,6 +1,7 @@
 package crosssched
 
 import (
+	"context"
 	"testing"
 
 	"crosssched/internal/fault"
@@ -49,9 +50,9 @@ func TestWorkCounters(t *testing.T) {
 			opt.Metrics = &got
 			var err error
 			if c.stream {
-				_, err = sim.NewRunner().RunStream(trace.NewSliceStream(c.tr), opt, nil)
+				_, err = sim.NewRunner().RunStreamContext(context.Background(), trace.NewSliceStream(c.tr), opt, nil)
 			} else {
-				_, err = sim.NewRunner().Run(c.tr, opt)
+				_, err = sim.NewRunner().RunContext(context.Background(), c.tr, opt)
 			}
 			if err != nil {
 				t.Fatal(err)

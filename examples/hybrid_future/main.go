@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,7 +20,7 @@ func main() {
 	fmt.Println("sweeping DL job share on a Theta-like machine (this re-schedules")
 	fmt.Println("the combined workload once per share)...")
 	fmt.Println()
-	pts, err := experiments.HybridSweep(8, 1, []float64{0, 0.25, 0.5, 0.75, 0.9})
+	pts, err := experiments.HybridSweep(context.Background(), 8, 1, []float64{0, 0.25, 0.5, 0.75, 0.9})
 	if err != nil {
 		log.Fatal(err)
 	}

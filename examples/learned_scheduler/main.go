@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,7 +29,7 @@ func main() {
 	fmt.Printf("training on %d jobs, evaluating on %d held-out jobs\n\n",
 		train.Len(), test.Len())
 
-	policy, history, err := rl.Train(train, rl.TrainConfig{
+	policy, history, err := rl.Train(context.Background(), train, rl.TrainConfig{
 		Iterations: 25, Population: 8, Seed: 1, Backfill: sim.EASY,
 	})
 	if err != nil {

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,7 +24,7 @@ func main() {
 	}
 	fmt.Printf("ablations on %d Theta-like jobs\n\n", tr.Len())
 
-	cells, err := experiments.PolicyMatrix(tr,
+	cells, err := experiments.PolicyMatrix(context.Background(), tr,
 		[]sim.Policy{sim.FCFS, sim.SJF, sim.SAF, sim.WFP3, sim.F1, sim.Fair},
 		[]sim.BackfillKind{sim.NoBackfill, sim.EASY, sim.Conservative})
 	if err != nil {
@@ -31,13 +32,13 @@ func main() {
 	}
 	fmt.Println(experiments.RenderPolicyMatrix("Theta", cells))
 
-	pts, err := experiments.RelaxFactorSweep(tr, []float64{0.05, 0.1, 0.2, 0.4})
+	pts, err := experiments.RelaxFactorSweep(context.Background(), tr, []float64{0.05, 0.1, 0.2, 0.4})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println(experiments.RenderSweep("Theta", pts))
 
-	est, err := experiments.PredictionBackfill(tr)
+	est, err := experiments.PredictionBackfill(context.Background(), tr)
 	if err != nil {
 		log.Fatal(err)
 	}

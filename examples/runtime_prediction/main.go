@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -56,7 +57,7 @@ func main() {
 
 	// Extension 2: act on it — proactively terminate jobs predicted not
 	// to pass, reclaiming the wasted core hours Takeaway 7 highlights.
-	fa, err := experiments.FaultAware(tr, nil, 300)
+	fa, err := experiments.FaultAware(context.Background(), tr, nil, 300)
 	if err != nil {
 		log.Fatal(err)
 	}

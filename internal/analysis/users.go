@@ -111,9 +111,6 @@ const (
 	QueueLong
 )
 
-// QueueBucketNames are the display labels.
-var QueueBucketNames = [3]string{"shortQ", "middleQ", "longQ"}
-
 // QueueBehavior is the Figures 9-10 data: per queue bucket, the request
 // size composition (including the "Minimal" class) and runtime statistics.
 type QueueBehavior struct {

@@ -27,14 +27,14 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 
 		optGot := opt
 		optGot.Observer = &gotRec
-		got, err := reused.Run(tr, optGot)
+		got, err := reused.RunContext(context.Background(), tr, optGot)
 		if err != nil {
 			t.Fatalf("%s + %s: reused runner: %v", opt.Policy, opt.Backfill, err)
 		}
 
 		optWant := opt
 		optWant.Observer = &wantRec
-		want, err := sim.NewRunner().Run(tr, optWant)
+		want, err := sim.NewRunner().RunContext(context.Background(), tr, optWant)
 		if err != nil {
 			t.Fatalf("%s + %s: fresh runner: %v", opt.Policy, opt.Backfill, err)
 		}
@@ -67,7 +67,7 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 func TestRunnerPoolConcurrency(t *testing.T) {
 	tr := verifyTrace(t, synth.VerifyVC(0.15), 23)
 	opt := sim.Options{Policy: sim.SJF, Backfill: sim.Relaxed, RelaxFactor: 0.15}
-	want, err := sim.NewRunner().Run(tr, opt)
+	want, err := sim.NewRunner().RunContext(context.Background(), tr, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func (c *cancelAfter) Observe(obs.Event) {
 func TestRunnerReuseAfterCancel(t *testing.T) {
 	tr := verifyTrace(t, synth.VerifyBurst(0.2), 31)
 	opt := sim.Options{Policy: sim.WFP3, Backfill: sim.AdaptiveRelaxed, RelaxFactor: 0.2}
-	want, err := sim.NewRunner().Run(tr, opt)
+	want, err := sim.NewRunner().RunContext(context.Background(), tr, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestRunnerReuseAfterCancel(t *testing.T) {
 		}
 		cancel()
 
-		got, err := r.Run(tr, opt)
+		got, err := r.RunContext(context.Background(), tr, opt)
 		if err != nil {
 			t.Fatalf("reuse after cancel at depth %d: %v", depth, err)
 		}

@@ -248,7 +248,3 @@ func (c *Cluster) Utilization(now float64) float64 {
 	}
 	return c.busyCoreSeconds / (float64(c.total) * now)
 }
-
-// BusyCoreSeconds returns the utilization integral so far (through the last
-// advance).
-func (c *Cluster) BusyCoreSeconds() float64 { return c.busyCoreSeconds }

@@ -172,7 +172,7 @@ func TestResetClearsDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Reset()
-	if c.Free(0) != 10 || c.DownCores(0) != 0 || c.Busy() != 0 || c.BusyCoreSeconds() != 0 {
+	if c.Free(0) != 10 || c.DownCores(0) != 0 || c.Busy() != 0 || c.busyCoreSeconds != 0 {
 		t.Fatalf("reset left state behind: %+v", c)
 	}
 }

@@ -138,37 +138,6 @@ func (d TruncatedNormal) Sample(rng *RNG) float64 {
 	return math.Min(math.Max(x, d.Lo), d.Hi)
 }
 
-// Poisson samples counts from a Poisson distribution with mean Lambda.
-type Poisson struct {
-	Lambda float64
-}
-
-// SampleInt returns a Poisson-distributed count. Uses Knuth's method for
-// small lambda and a normal approximation beyond 50 where Knuth's product
-// underflows.
-func (d Poisson) SampleInt(rng *RNG) int {
-	if d.Lambda <= 0 {
-		return 0
-	}
-	if d.Lambda > 50 {
-		x := d.Lambda + math.Sqrt(d.Lambda)*rng.Normal()
-		if x < 0 {
-			return 0
-		}
-		return int(x + 0.5)
-	}
-	l := math.Exp(-d.Lambda)
-	k := 0
-	p := 1.0
-	for {
-		p *= rng.Float64Open()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // Zipf draws integers in [1, N] with probability proportional to 1/rank^S.
 // It models the heavy skew of per-user job-template popularity.
 type Zipf struct {

@@ -145,29 +145,6 @@ func TestTruncatedNormalBounds(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	for _, lambda := range []float64{0.5, 4, 30, 200} {
-		d := Poisson{Lambda: lambda}
-		r := NewRNG(uint64(lambda*1000) + 1)
-		sum := 0
-		const n = 50000
-		for i := 0; i < n; i++ {
-			sum += d.SampleInt(r)
-		}
-		m := float64(sum) / n
-		if math.Abs(m-lambda)/lambda > 0.05 {
-			t.Fatalf("poisson(%v) mean %v", lambda, m)
-		}
-	}
-}
-
-func TestPoissonZeroLambda(t *testing.T) {
-	d := Poisson{Lambda: 0}
-	if got := d.SampleInt(NewRNG(1)); got != 0 {
-		t.Fatalf("Poisson(0) sample = %d, want 0", got)
-	}
-}
-
 func TestZipfSkew(t *testing.T) {
 	z := NewZipf(100, 1.5)
 	r := NewRNG(10)

@@ -29,15 +29,10 @@ type Cell struct {
 
 // PolicyMatrix runs every (policy, backfill) combination on the trace.
 // Combinations are simulated in parallel (each simulation is independent);
-// the result order is deterministic: policies outer, backfills inner.
-func PolicyMatrix(tr *trace.Trace, policies []sim.Policy, backfills []sim.BackfillKind) ([]Cell, error) {
-	return PolicyMatrixContext(context.Background(), tr, policies, backfills)
-}
-
-// PolicyMatrixContext is PolicyMatrix with cancellation: when ctx is
-// canceled the in-flight simulations abort at their next event and the
-// lowest-index cancellation error is returned.
-func PolicyMatrixContext(ctx context.Context, tr *trace.Trace, policies []sim.Policy, backfills []sim.BackfillKind) ([]Cell, error) {
+// the result order is deterministic: policies outer, backfills inner. When
+// ctx is canceled the in-flight simulations abort at their next event and
+// the lowest-index cancellation error is returned.
+func PolicyMatrix(ctx context.Context, tr *trace.Trace, policies []sim.Policy, backfills []sim.BackfillKind) ([]Cell, error) {
 	type task struct {
 		pol sim.Policy
 		bf  sim.BackfillKind
@@ -97,12 +92,7 @@ type SweepPoint struct {
 // a shared trace); within a factor the adaptive run depends on the relaxed
 // run's observed queue length, so the pair stays sequential. The result
 // order follows the input factors.
-func RelaxFactorSweep(tr *trace.Trace, factors []float64) ([]SweepPoint, error) {
-	return RelaxFactorSweepContext(context.Background(), tr, factors)
-}
-
-// RelaxFactorSweepContext is RelaxFactorSweep with cancellation.
-func RelaxFactorSweepContext(ctx context.Context, tr *trace.Trace, factors []float64) ([]SweepPoint, error) {
+func RelaxFactorSweep(ctx context.Context, tr *trace.Trace, factors []float64) ([]SweepPoint, error) {
 	out := make([]SweepPoint, len(factors))
 	err := par.ForEach(ctx, len(factors), func(ctx context.Context, i int) error {
 		f := factors[i]
@@ -200,12 +190,7 @@ func last2Predictions(tr *trace.Trace) map[int]float64 {
 // predictor is trained online: each job's prediction uses only jobs the
 // scheduler has already seen complete (approximated by submit order, as in
 // the original study).
-func PredictionBackfill(tr *trace.Trace) (*PredictionBackfillResult, error) {
-	return PredictionBackfillContext(context.Background(), tr)
-}
-
-// PredictionBackfillContext is PredictionBackfill with cancellation.
-func PredictionBackfillContext(ctx context.Context, tr *trace.Trace) (*PredictionBackfillResult, error) {
+func PredictionBackfill(ctx context.Context, tr *trace.Trace) (*PredictionBackfillResult, error) {
 	out := &PredictionBackfillResult{System: tr.System.Name}
 
 	user, err := sim.RunContext(ctx, tr, sim.Options{Policy: sim.FCFS, Backfill: sim.EASY})

@@ -29,7 +29,7 @@ func thetaTrace(t *testing.T) *trace.Trace {
 
 func TestPolicyMatrix(t *testing.T) {
 	tr := thetaTrace(t)
-	cells, err := PolicyMatrix(tr,
+	cells, err := PolicyMatrix(context.Background(), tr,
 		[]sim.Policy{sim.FCFS, sim.SJF, sim.Fair},
 		[]sim.BackfillKind{sim.NoBackfill, sim.EASY})
 	if err != nil {
@@ -71,7 +71,7 @@ func TestPolicyMatrix(t *testing.T) {
 
 func TestRelaxFactorSweep(t *testing.T) {
 	tr := thetaTrace(t)
-	pts, err := RelaxFactorSweep(tr, []float64{0.05, 0.1, 0.2, 0.4})
+	pts, err := RelaxFactorSweep(context.Background(), tr, []float64{0.05, 0.1, 0.2, 0.4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestLast2PredictionsColdStart(t *testing.T) {
 
 func TestPredictionBackfill(t *testing.T) {
 	tr := thetaTrace(t)
-	res, err := PredictionBackfill(tr)
+	res, err := PredictionBackfill(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,14 +176,14 @@ func TestExperimentsCancellation(t *testing.T) {
 	tr := thetaTrace(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := PolicyMatrixContext(ctx, tr,
+	if _, err := PolicyMatrix(ctx, tr,
 		[]sim.Policy{sim.FCFS}, []sim.BackfillKind{sim.EASY}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("PolicyMatrixContext: want context.Canceled, got %v", err)
+		t.Fatalf("PolicyMatrix: want context.Canceled, got %v", err)
 	}
-	if _, err := RelaxFactorSweepContext(ctx, tr, []float64{0.1}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RelaxFactorSweepContext: want context.Canceled, got %v", err)
+	if _, err := RelaxFactorSweep(ctx, tr, []float64{0.1}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RelaxFactorSweep: want context.Canceled, got %v", err)
 	}
-	if _, err := PredictionBackfillContext(ctx, tr); !errors.Is(err, context.Canceled) {
-		t.Fatalf("PredictionBackfillContext: want context.Canceled, got %v", err)
+	if _, err := PredictionBackfill(ctx, tr); !errors.Is(err, context.Canceled) {
+		t.Fatalf("PredictionBackfill: want context.Canceled, got %v", err)
 	}
 }

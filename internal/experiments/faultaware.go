@@ -61,16 +61,11 @@ type FaultAwareResult struct {
 }
 
 // FaultAware runs the proactive-termination sweep. Checkpoints occur every
-// checkEvery seconds of job elapsed time (default 300s).
-func FaultAware(tr *trace.Trace, thresholds []float64, checkEvery float64) (*FaultAwareResult, error) {
-	return FaultAwareContext(context.Background(), tr, thresholds, checkEvery)
-}
-
-// FaultAwareContext is FaultAware with cancellation. The predictor is
+// checkEvery seconds of job elapsed time (default 300s). The predictor is
 // trained once; the thresholds are evaluated in parallel (each threshold
 // replays the evaluation suffix independently against the frozen
 // predictor). The result order follows the input thresholds.
-func FaultAwareContext(ctx context.Context, tr *trace.Trace, thresholds []float64, checkEvery float64) (*FaultAwareResult, error) {
+func FaultAware(ctx context.Context, tr *trace.Trace, thresholds []float64, checkEvery float64) (*FaultAwareResult, error) {
 	if tr.Len() < 100 {
 		return nil, fmt.Errorf("experiments: trace too small (%d jobs)", tr.Len())
 	}

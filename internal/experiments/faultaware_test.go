@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 
 func TestFaultAwareRejectsTiny(t *testing.T) {
 	tr := trace.New(trace.System{Name: "T", TotalCores: 4})
-	if _, err := FaultAware(tr, nil, 0); err == nil {
+	if _, err := FaultAware(context.Background(), tr, nil, 0); err == nil {
 		t.Fatal("tiny trace accepted")
 	}
 }
@@ -21,7 +22,7 @@ func TestFaultAwareStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := FaultAware(tr, []float64{0.7, 0.9}, 300)
+	res, err := FaultAware(context.Background(), tr, []float64{0.7, 0.9}, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestFaultAwareSavesAtHighThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := FaultAware(tr, []float64{0.9}, 300)
+	res, err := FaultAware(context.Background(), tr, []float64{0.9}, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestFaultAwareDefaultThresholds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := FaultAware(tr, nil, 0)
+	res, err := FaultAware(context.Background(), tr, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,16 +38,11 @@ type HybridPoint struct {
 }
 
 // HybridSweep generates the base HPC workload once and one DL overlay per
-// share, merging and re-scheduling each combination.
-func HybridSweep(days float64, seed uint64, shares []float64) ([]HybridPoint, error) {
-	return HybridSweepContext(context.Background(), days, seed, shares)
-}
-
-// HybridSweepContext is HybridSweep with cancellation. The base HPC trace
+// share, merging and re-scheduling each combination. The base HPC trace
 // is generated once; the shares are simulated in parallel (each share
 // builds its own overlay and merged copy, so workers never touch shared
 // mutable state). The result order follows the input shares.
-func HybridSweepContext(ctx context.Context, days float64, seed uint64, shares []float64) ([]HybridPoint, error) {
+func HybridSweep(ctx context.Context, days float64, seed uint64, shares []float64) ([]HybridPoint, error) {
 	if len(shares) == 0 {
 		shares = []float64{0, 0.25, 0.5, 0.75}
 	}

@@ -1,12 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestHybridSweepStructure(t *testing.T) {
-	pts, err := HybridSweep(4, 3, []float64{0, 0.5})
+	pts, err := HybridSweep(context.Background(), 4, 3, []float64{0, 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestHybridSweepStructure(t *testing.T) {
 // utilization, and the DL class should experience short waits relative to
 // its runtimes (they are small jobs that backfill easily).
 func TestHybridInjectionLoadsTheMachine(t *testing.T) {
-	pts, err := HybridSweep(4, 3, []float64{0, 0.5})
+	pts, err := HybridSweep(context.Background(), 4, 3, []float64{0, 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestHybridInjectionLoadsTheMachine(t *testing.T) {
 }
 
 func TestHybridDefaultShares(t *testing.T) {
-	pts, err := HybridSweep(1, 7, nil)
+	pts, err := HybridSweep(context.Background(), 1, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,6 +62,3 @@ func (m *Last2) PredictWithElapsed(user int, elapsed, fallback float64) float64 
 	}
 	return p
 }
-
-// HistoryLen returns the number of observations for a user.
-func (m *Last2) HistoryLen(user int) int { return len(m.history[user]) }

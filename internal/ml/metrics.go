@@ -47,19 +47,3 @@ func Evaluate(actual, predicted []float64) EvalResult {
 		UnderestimateRate: float64(under) / float64(n),
 	}
 }
-
-// MAE returns the mean absolute error.
-func MAE(actual, predicted []float64) float64 {
-	if len(actual) == 0 || len(actual) != len(predicted) {
-		return 0
-	}
-	sum := 0.0
-	for i := range actual {
-		d := actual[i] - predicted[i]
-		if d < 0 {
-			d = -d
-		}
-		sum += d
-	}
-	return sum / float64(len(actual))
-}

@@ -147,9 +147,6 @@ func TestMetrics(t *testing.T) {
 	if Evaluate(nil, nil).N != 0 {
 		t.Fatal("empty eval should be zero")
 	}
-	if got := MAE([]float64{1, 2}, []float64{2, 0}); got != 1.5 {
-		t.Fatalf("MAE %v want 1.5", got)
-	}
 }
 
 // synthDataset builds y = exp(a*x0 + b*x1 + noise) style runtimes so all
@@ -367,7 +364,7 @@ func TestLast2(t *testing.T) {
 	if got := m.Predict(1, 0); got != 250 {
 		t.Fatalf("last2 rolling %v want 250", got)
 	}
-	if m.HistoryLen(1) != 3 || m.HistoryLen(2) != 0 {
+	if len(m.history[1]) != 3 || len(m.history[2]) != 0 {
 		t.Fatal("history lengths wrong")
 	}
 }

@@ -2,9 +2,7 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"io"
-	"sync"
 )
 
 // Metrics are the per-run counters and timers the simulator maintains.
@@ -76,30 +74,4 @@ func (m *Metrics) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(m)
-}
-
-// The expvar registry forbids republishing a name, but a long-running
-// service reruns simulations under the same logical name; publishedMetrics
-// indirects the expvar.Func through a swappable pointer so Publish can be
-// called once per run.
-var (
-	publishedMu      sync.Mutex
-	publishedMetrics = map[string]*Metrics{}
-)
-
-// Publish exposes the metrics under the given expvar name (e.g. on
-// /debug/vars when an HTTP server is running). Publishing the same name
-// again swaps the underlying metrics instead of panicking like
-// expvar.Publish would.
-func Publish(name string, m *Metrics) {
-	publishedMu.Lock()
-	defer publishedMu.Unlock()
-	if _, ok := publishedMetrics[name]; !ok {
-		expvar.Publish(name, expvar.Func(func() interface{} {
-			publishedMu.Lock()
-			defer publishedMu.Unlock()
-			return publishedMetrics[name]
-		}))
-	}
-	publishedMetrics[name] = m
 }

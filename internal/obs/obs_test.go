@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"expvar"
 	"strings"
 	"sync"
 	"testing"
@@ -133,7 +132,7 @@ func TestSyncedObserverConcurrent(t *testing.T) {
 	}
 }
 
-func TestMetricsJSONAndPublish(t *testing.T) {
+func TestMetricsJSON(t *testing.T) {
 	m := &Metrics{Events: 10, Arrivals: 5, Completions: 5, JobsStarted: 5, WallSeconds: 0.25}
 	var buf bytes.Buffer
 	if err := m.WriteJSON(&buf); err != nil {
@@ -145,21 +144,6 @@ func TestMetricsJSONAndPublish(t *testing.T) {
 	}
 	if back != *m {
 		t.Fatalf("metrics JSON round trip: %+v != %+v", back, *m)
-	}
-
-	Publish("obs_test_metrics", m)
-	v := expvar.Get("obs_test_metrics")
-	if v == nil {
-		t.Fatal("metrics not published")
-	}
-	if !strings.Contains(v.String(), `"events":10`) {
-		t.Fatalf("published metrics missing counters: %s", v.String())
-	}
-	// Republishing the same name must swap, not panic.
-	m2 := &Metrics{Events: 99}
-	Publish("obs_test_metrics", m2)
-	if !strings.Contains(expvar.Get("obs_test_metrics").String(), `"events":99`) {
-		t.Fatalf("republish did not swap: %s", expvar.Get("obs_test_metrics").String())
 	}
 }
 

@@ -103,14 +103,9 @@ func (c TrainConfig) withDefaults() TrainConfig {
 }
 
 // Fitness evaluates a policy on a trace: negative average bounded slowdown
-// (higher is better).
-func Fitness(p *LinearPolicy, tr *trace.Trace, backfill sim.BackfillKind) (float64, error) {
-	return FitnessContext(context.Background(), p, tr, backfill)
-}
-
-// FitnessContext is Fitness with cancellation: the underlying simulation
-// aborts at its next event once ctx is canceled.
-func FitnessContext(ctx context.Context, p *LinearPolicy, tr *trace.Trace, backfill sim.BackfillKind) (float64, error) {
+// (higher is better). The underlying simulation aborts at its next event
+// once ctx is canceled.
+func Fitness(ctx context.Context, p *LinearPolicy, tr *trace.Trace, backfill sim.BackfillKind) (float64, error) {
 	res, err := sim.RunContext(ctx, tr, p.Options(backfill))
 	if err != nil {
 		return 0, err
@@ -128,7 +123,7 @@ func EvaluatePopulation(ctx context.Context, policies []LinearPolicy, tr *trace.
 	fits := make([]float64, len(policies))
 	err := par.ForEach(ctx, len(policies), func(ctx context.Context, i int) error {
 		var err error
-		fits[i], err = FitnessContext(ctx, &policies[i], tr, backfill)
+		fits[i], err = Fitness(ctx, &policies[i], tr, backfill)
 		return err
 	})
 	if err != nil {
@@ -139,16 +134,11 @@ func EvaluatePopulation(ctx context.Context, policies []LinearPolicy, tr *trace.
 
 // Train searches for a policy minimizing average bounded slowdown on the
 // training trace. It returns the best policy found and the per-iteration
-// best-fitness history (as avg bsld, lower is better).
-func Train(tr *trace.Trace, cfg TrainConfig) (*LinearPolicy, []float64, error) {
-	return TrainContext(context.Background(), tr, cfg)
-}
-
-// TrainContext is Train with cancellation. The context is checked once
-// per ES iteration and inside every fitness simulation, so a canceled
-// training run returns promptly with a wrapped context error instead of
-// finishing the generation.
-func TrainContext(ctx context.Context, tr *trace.Trace, cfg TrainConfig) (*LinearPolicy, []float64, error) {
+// best-fitness history (as avg bsld, lower is better). The context is
+// checked once per ES iteration and inside every fitness simulation, so a
+// canceled training run returns promptly with a wrapped context error
+// instead of finishing the generation.
+func Train(ctx context.Context, tr *trace.Trace, cfg TrainConfig) (*LinearPolicy, []float64, error) {
 	if tr.Len() < 10 {
 		return nil, nil, errors.New("rl: training trace too small")
 	}
@@ -157,7 +147,7 @@ func TrainContext(ctx context.Context, tr *trace.Trace, cfg TrainConfig) (*Linea
 
 	w := [FeatureDim]float64{} // zero weights = FCFS (tie-break) start
 	best := w
-	bestFit, err := FitnessContext(ctx, &LinearPolicy{W: w}, tr, cfg.Backfill)
+	bestFit, err := Fitness(ctx, &LinearPolicy{W: w}, tr, cfg.Backfill)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -226,7 +216,7 @@ func TrainContext(ctx context.Context, tr *trace.Trace, cfg TrainConfig) (*Linea
 			}
 			w[i] += cfg.LR * g / (float64(len(samples)) * cfg.Sigma)
 		}
-		if fit, err := FitnessContext(ctx, &LinearPolicy{W: w}, tr, cfg.Backfill); err == nil && fit > bestFit {
+		if fit, err := Fitness(ctx, &LinearPolicy{W: w}, tr, cfg.Backfill); err == nil && fit > bestFit {
 			bestFit = fit
 			best = w
 		}

@@ -83,7 +83,7 @@ func TestTrainImprovesOverFCFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	policy, history, err := Train(tr, TrainConfig{Iterations: 12, Population: 6, Seed: 1, Backfill: sim.EASY})
+	policy, history, err := Train(context.Background(), tr, TrainConfig{Iterations: 12, Population: 6, Seed: 1, Backfill: sim.EASY})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +112,11 @@ func TestTrainImprovesOverFCFS(t *testing.T) {
 
 func TestTrainDeterministic(t *testing.T) {
 	tr := trainTrace(t, 11)
-	a, ha, err := Train(tr, TrainConfig{Iterations: 4, Population: 3, Seed: 2})
+	a, ha, err := Train(context.Background(), tr, TrainConfig{Iterations: 4, Population: 3, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, hb, err := Train(tr, TrainConfig{Iterations: 4, Population: 3, Seed: 2})
+	b, hb, err := Train(context.Background(), tr, TrainConfig{Iterations: 4, Population: 3, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestTrainDeterministic(t *testing.T) {
 
 func TestTrainRejectsTiny(t *testing.T) {
 	tr := trace.New(trace.System{Name: "T", TotalCores: 4})
-	if _, _, err := Train(tr, TrainConfig{}); err == nil {
+	if _, _, err := Train(context.Background(), tr, TrainConfig{}); err == nil {
 		t.Fatal("tiny trace accepted")
 	}
 }
@@ -143,7 +143,7 @@ func TestTrainRejectsTiny(t *testing.T) {
 func TestTrainGeneralizes(t *testing.T) {
 	train := trainTrace(t, 13)
 	test := trainTrace(t, 14)
-	policy, _, err := Train(train, TrainConfig{Iterations: 15, Population: 6, Seed: 3, Backfill: sim.EASY})
+	policy, _, err := Train(context.Background(), train, TrainConfig{Iterations: 15, Population: 6, Seed: 3, Backfill: sim.EASY})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,10 +167,10 @@ func TestTrainCancellation(t *testing.T) {
 	tr := trainTrace(t, 17)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := TrainContext(ctx, tr, TrainConfig{Iterations: 2, Population: 2, Seed: 4}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("TrainContext: want context.Canceled, got %v", err)
+	if _, _, err := Train(ctx, tr, TrainConfig{Iterations: 2, Population: 2, Seed: 4}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Train: want context.Canceled, got %v", err)
 	}
-	if _, err := FitnessContext(ctx, &LinearPolicy{}, tr, sim.EASY); !errors.Is(err, context.Canceled) {
-		t.Fatalf("FitnessContext: want context.Canceled, got %v", err)
+	if _, err := Fitness(ctx, &LinearPolicy{}, tr, sim.EASY); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Fitness: want context.Canceled, got %v", err)
 	}
 }

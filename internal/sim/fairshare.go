@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"sort"
 )
 
 // Fairshare ordering: Philly's scheduler (and most production DL cluster
@@ -84,26 +83,4 @@ func (f *FairshareState) Charge(user int, now, coreSeconds float64) {
 	u := f.Usage(user, now)
 	f.usage[user] = u + coreSeconds
 	f.last[user] = now
-}
-
-// Order sorts queue indices ascending by the owning user's usage (light
-// users first), breaking ties by submit time. users[i] and submits[i]
-// describe queue entry i; the returned slice is a permutation of [0,n).
-func (f *FairshareState) Order(now float64, users []int, submits []float64) []int {
-	n := len(users)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	scores := make([]float64, n)
-	for i := range scores {
-		scores[i] = f.Usage(users[i], now)
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		if scores[idx[a]] != scores[idx[b]] {
-			return scores[idx[a]] < scores[idx[b]]
-		}
-		return submits[idx[a]] < submits[idx[b]]
-	})
-	return idx
 }

@@ -40,19 +40,6 @@ func TestFairshareDefaultHalfLife(t *testing.T) {
 	}
 }
 
-func TestFairshareOrder(t *testing.T) {
-	f := NewFairshareState(3600)
-	f.Charge(0, 0, 1000) // heavy user
-	f.Charge(1, 0, 10)   // light user
-	users := []int{0, 1, 2}
-	submits := []float64{1, 2, 3}
-	order := f.Order(0, users, submits)
-	// user 2 (zero usage) first, then 1, then 0
-	if users[order[0]] != 2 || users[order[1]] != 1 || users[order[2]] != 0 {
-		t.Fatalf("order %v", order)
-	}
-}
-
 func TestFairPolicyPrefersLightUsers(t *testing.T) {
 	// One core. Heavy user 0 submits two long jobs; light user 1 submits
 	// one later. Under FCFS user 1 goes last; under Fair user 1 jumps

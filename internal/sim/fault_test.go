@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -150,7 +151,7 @@ func TestRunnerPoolReuseWithFaults(t *testing.T) {
 				if i%2 == 1 {
 					opt, want = plainOpt, wantPlain
 				}
-				got, err := r.Run(tr, opt)
+				got, err := r.RunContext(context.Background(), tr, opt)
 				if err != nil {
 					t.Error(err)
 					return
@@ -177,11 +178,11 @@ func TestZeroFaultNoExtraAllocs(t *testing.T) {
 	r := NewRunner()
 	measure := func(opt Options) float64 {
 		// Warm the pool so steady-state allocations are measured.
-		if _, err := r.Run(tr, opt); err != nil {
+		if _, err := r.RunContext(context.Background(), tr, opt); err != nil {
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(5, func() {
-			if _, err := r.Run(tr, opt); err != nil {
+			if _, err := r.RunContext(context.Background(), tr, opt); err != nil {
 				t.Fatal(err)
 			}
 		})

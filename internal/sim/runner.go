@@ -55,11 +55,6 @@ func NewRunner() *Runner { return &Runner{} }
 // batches stay warm.
 var runnerPool = sync.Pool{New: func() any { return NewRunner() }}
 
-// Run simulates scheduling of tr under opt; see the package-level Run.
-func (r *Runner) Run(tr *trace.Trace, opt Options) (*Result, error) {
-	return r.RunContext(context.Background(), tr, opt)
-}
-
 // RunContext simulates scheduling of tr under opt with cancellation; see
 // the package-level RunContext for the cancellation contract. The input
 // trace is treated as immutable and is not retained past the call.

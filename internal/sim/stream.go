@@ -50,12 +50,6 @@ func RunStreamContext(ctx context.Context, src trace.Stream, opt Options, sink S
 	return r.RunStreamContext(ctx, src, opt, sink)
 }
 
-// RunStream simulates a stream on this Runner; see the package-level
-// RunStream.
-func (r *Runner) RunStream(src trace.Stream, opt Options, sink StreamSink) (*Result, error) {
-	return r.RunStreamContext(context.Background(), src, opt, sink)
-}
-
 // RunStreamContext simulates a stream on this Runner with cancellation; see
 // the package-level RunStream and RunContext.
 func (r *Runner) RunStreamContext(ctx context.Context, src trace.Stream, opt Options, sink StreamSink) (*Result, error) {

@@ -179,19 +179,19 @@ func TestStreamCompaction(t *testing.T) {
 func TestStreamRunnerReuse(t *testing.T) {
 	tr := streamTrace(500)
 	r := NewRunner()
-	want, err := r.Run(tr, Options{Policy: FCFS, Backfill: EASY})
+	want, err := r.RunContext(context.Background(), tr, Options{Policy: FCFS, Backfill: EASY})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 3; round++ {
-		got, err := r.RunStream(trace.NewSliceStream(tr), Options{Policy: FCFS, Backfill: EASY}, nil)
+		got, err := r.RunStreamContext(context.Background(), trace.NewSliceStream(tr), Options{Policy: FCFS, Backfill: EASY}, nil)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		if got.AvgWait != want.AvgWait || got.AvgBsld != want.AvgBsld || got.Makespan != want.Makespan {
 			t.Fatalf("round %d: streaming drifted: %+v vs %+v", round, got, want)
 		}
-		again, err := r.Run(tr, Options{Policy: FCFS, Backfill: EASY})
+		again, err := r.RunContext(context.Background(), tr, Options{Policy: FCFS, Backfill: EASY})
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}

@@ -1,5 +1,5 @@
 // Package stats provides the descriptive-statistics substrate used by every
-// characterization figure: moments, quantiles, empirical CDFs, histograms,
+// characterization figure: moments, quantiles, empirical CDFs, hourly counts,
 // kernel density summaries (violins), correlation, and grouped aggregation.
 //
 // Go has no strong data-analysis libraries, so this package implements the
@@ -201,21 +201,4 @@ func Ranks(xs []float64) []float64 {
 		i = j + 1
 	}
 	return ranks
-}
-
-// WeightedMean returns the weighted mean of xs with weights ws, or 0 when
-// the total weight is zero.
-func WeightedMean(xs, ws []float64) float64 {
-	if len(xs) != len(ws) {
-		return 0
-	}
-	var sw, swx float64
-	for i := range xs {
-		sw += ws[i]
-		swx += ws[i] * xs[i]
-	}
-	if sw == 0 {
-		return 0
-	}
-	return swx / sw
 }

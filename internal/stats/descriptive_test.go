@@ -117,18 +117,6 @@ func TestRanksWithTies(t *testing.T) {
 	}
 }
 
-func TestWeightedMean(t *testing.T) {
-	if got := WeightedMean([]float64{1, 10}, []float64{9, 1}); !almost(got, 1.9, 1e-12) {
-		t.Fatalf("weighted mean = %v want 1.9", got)
-	}
-	if WeightedMean([]float64{1}, []float64{0}) != 0 {
-		t.Fatal("zero-weight mean should be 0")
-	}
-	if WeightedMean([]float64{1, 2}, []float64{1}) != 0 {
-		t.Fatal("mismatched lengths should be 0")
-	}
-}
-
 // Property: quantile is monotone in q and bounded by min/max.
 func TestQuantileMonotonePropertyQuick(t *testing.T) {
 	f := func(raw []float64) bool {

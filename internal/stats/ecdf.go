@@ -79,16 +79,6 @@ func (e *ECDF) Points(maxPoints int) (xs, ps []float64) {
 	return xs, ps
 }
 
-// EvalGrid evaluates the ECDF at each x in grid. Useful to compare several
-// systems' CDFs at identical x positions (as in the paper's Figure 1).
-func (e *ECDF) EvalGrid(grid []float64) []float64 {
-	out := make([]float64, len(grid))
-	for i, x := range grid {
-		out[i] = e.At(x)
-	}
-	return out
-}
-
 // LogGrid returns n log-spaced values covering [lo, hi]. It requires
 // 0 < lo < hi and n >= 2; otherwise it returns nil.
 func LogGrid(lo, hi float64, n int) []float64 {

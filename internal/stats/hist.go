@@ -4,78 +4,6 @@ import (
 	"math"
 )
 
-// Histogram is a binned count of a sample over explicit bin edges.
-// Values below the first edge or at/above the last edge are dropped into
-// the Under/Over overflow counters rather than silently discarded.
-type Histogram struct {
-	Edges  []float64 // len = bins+1, strictly increasing
-	Counts []int     // len = bins
-	Under  int       // samples < Edges[0]
-	Over   int       // samples >= Edges[len-1]
-	Total  int       // all samples offered, including overflow
-}
-
-// NewHistogram builds an empty histogram over the given edges.
-// It panics if fewer than 2 edges are supplied or edges are not increasing.
-func NewHistogram(edges []float64) *Histogram {
-	if len(edges) < 2 {
-		panic("stats: histogram needs at least 2 edges")
-	}
-	for i := 1; i < len(edges); i++ {
-		if edges[i] <= edges[i-1] {
-			panic("stats: histogram edges must be strictly increasing")
-		}
-	}
-	return &Histogram{
-		Edges:  append([]float64(nil), edges...),
-		Counts: make([]int, len(edges)-1),
-	}
-}
-
-// Add offers one sample to the histogram.
-func (h *Histogram) Add(x float64) {
-	h.Total++
-	if x < h.Edges[0] {
-		h.Under++
-		return
-	}
-	if x >= h.Edges[len(h.Edges)-1] {
-		h.Over++
-		return
-	}
-	// binary search: find bin i with Edges[i] <= x < Edges[i+1]
-	lo, hi := 0, len(h.Counts)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if h.Edges[mid] <= x {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	h.Counts[lo]++
-}
-
-// AddAll offers every sample in xs.
-func (h *Histogram) AddAll(xs []float64) {
-	for _, x := range xs {
-		h.Add(x)
-	}
-}
-
-// Fractions returns each bin's share of the total sample count (including
-// overflow in the denominator). Returns nil for an empty histogram.
-func (h *Histogram) Fractions() []float64 {
-	if h.Total == 0 {
-		return nil
-	}
-	out := make([]float64, len(h.Counts))
-	for i, c := range h.Counts {
-		out[i] = float64(c) / float64(h.Total)
-	}
-	return out
-}
-
 // HourlyCounts buckets event timestamps (seconds since trace start) by the
 // local hour-of-day given a start hour offset, producing the paper's
 // Figure 1(b)-bottom series. startHour shifts t=0 to that wall-clock hour.

@@ -95,18 +95,3 @@ func kdeGaussian(vals, grid []float64, h float64) []float64 {
 	}
 	return out
 }
-
-// Mode returns the grid position with the highest estimated density — the
-// "widest part" of the violin that the paper reads off Figure 11.
-func (v Violin) Mode() float64 {
-	if len(v.Grid) == 0 {
-		return 0
-	}
-	best := 0
-	for i, d := range v.Density {
-		if d > v.Density[best] {
-			best = i
-		}
-	}
-	return v.Grid[best]
-}

@@ -160,13 +160,6 @@ func (s *QuantileSketch) Add(x float64) {
 // N returns the number of observations.
 func (s *QuantileSketch) N() int64 { return s.n }
 
-// Centroids returns the current number of centroids (after compressing the
-// pending buffer); exposed for memory-bound tests.
-func (s *QuantileSketch) Centroids() int {
-	s.flush()
-	return len(s.means)
-}
-
 func (s *QuantileSketch) scale(q float64) float64 {
 	if q < 0 {
 		q = 0
@@ -273,36 +266,6 @@ func (s *QuantileSketch) Quantile(q float64) float64 {
 	return prevM + f*(s.max-prevM)
 }
 
-// CDF returns the estimated P(X <= x), the streaming analog of ECDF.At.
-func (s *QuantileSketch) CDF(x float64) float64 {
-	s.flush()
-	if s.n == 0 || x < s.min {
-		return 0
-	}
-	if x >= s.max {
-		return 1
-	}
-	prevM, prevC := s.min, 0.0
-	cum := 0.0
-	for i := range s.means {
-		c := cum + s.weights[i]/2
-		if x < s.means[i] {
-			if s.means[i] == prevM {
-				return c / s.total
-			}
-			f := (x - prevM) / (s.means[i] - prevM)
-			return (prevC + f*(c-prevC)) / s.total
-		}
-		prevM, prevC = s.means[i], c
-		cum += s.weights[i]
-	}
-	if s.max == prevM {
-		return 1
-	}
-	f := (x - prevM) / (s.max - prevM)
-	return (prevC + f*(s.total-prevC)) / s.total
-}
-
 // StreamSummary accumulates a Summary without retaining samples: count,
 // mean, min, max, stddev, and sum are exact (Moments); the quantile fields
 // come from a QuantileSketch and carry its rank-error bound.
@@ -325,9 +288,6 @@ func (s *StreamSummary) Add(x float64) {
 
 // N returns the number of observations.
 func (s *StreamSummary) N() int64 { return s.mom.N() }
-
-// Sketch exposes the underlying quantile sketch for CDF queries.
-func (s *StreamSummary) Sketch() *QuantileSketch { return s.sketch }
 
 // Summary renders the accumulated state in the same shape Summarize
 // produces. Empty input yields the zero Summary, like Summarize.

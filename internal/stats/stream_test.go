@@ -138,13 +138,6 @@ func TestQuantileSketchErrorBound(t *testing.T) {
 					name, q, sk.Quantile(q), err, bound)
 			}
 		}
-		// CDF queries carry the same bound, probed across the value range.
-		for _, q := range qs {
-			x := e.Inverse(q)
-			if err := math.Abs(sk.CDF(x) - e.At(x)); err > 0.01 {
-				t.Errorf("%s: CDF(%v) = %v, exact %v (err %.5f)", name, x, sk.CDF(x), e.At(x), err)
-			}
-		}
 	}
 }
 
@@ -156,7 +149,8 @@ func TestQuantileSketchBoundedMemory(t *testing.T) {
 	for i := 0; i < 1_000_000; i++ {
 		sk.Add(rng.Float64() * float64(i+1))
 	}
-	if c := sk.Centroids(); c > 300 {
+	sk.flush()
+	if c := len(sk.means); c > 300 {
 		t.Fatalf("centroid count %d exceeds 3x compression", c)
 	}
 	if sk.N() != 1_000_000 {
@@ -166,7 +160,7 @@ func TestQuantileSketchBoundedMemory(t *testing.T) {
 
 func TestQuantileSketchDegenerate(t *testing.T) {
 	sk := NewQuantileSketch(0)
-	if sk.Quantile(0.5) != 0 || sk.CDF(1) != 0 {
+	if sk.Quantile(0.5) != 0 {
 		t.Fatal("empty sketch conventions")
 	}
 	sk.Add(42)
@@ -182,9 +176,6 @@ func TestQuantileSketchDegenerate(t *testing.T) {
 		if ties.Quantile(q) != 7 {
 			t.Fatalf("tied quantile(%v) = %v", q, ties.Quantile(q))
 		}
-	}
-	if ties.CDF(6.9) != 0 || ties.CDF(7) != 1 {
-		t.Fatalf("tied CDF: %v %v", ties.CDF(6.9), ties.CDF(7))
 	}
 }
 

@@ -42,7 +42,10 @@ func TestProbe(t *testing.T) {
 			}
 			chByStatus[j.Status] += j.CoreHours()
 		}
-		totCH := tr.TotalCoreHours()
+		totCH := 0.0
+		for _, j := range tr.Jobs {
+			totCH += j.CoreHours()
+		}
 		n := float64(tr.Len())
 		// core-hour share of small jobs
 		smallCH := 0.0

@@ -52,9 +52,6 @@ func ParseStatus(s string) (Status, error) {
 	return Passed, fmt.Errorf("trace: unknown status %q", s)
 }
 
-// Statuses lists all statuses in canonical order for iteration.
-var Statuses = [3]Status{Passed, Failed, Killed}
-
 // Job is a single execution instance submitted by a user.
 type Job struct {
 	ID     int     // unique within the trace, dense from 0
@@ -109,16 +106,6 @@ func (j Job) Turnaround() float64 {
 		return j.Wait + j.Run
 	}
 	return j.Run
-}
-
-// Slowdown returns turnaround/run. Jobs with zero runtime return the
-// turnaround against a 1-second floor to stay finite.
-func (j Job) Slowdown() float64 {
-	r := j.Run
-	if r < 1 {
-		r = 1
-	}
-	return j.Turnaround() / r
 }
 
 // BoundedSlowdown returns the bounded slowdown max(turnaround/max(run,tau),1)

@@ -129,21 +129,6 @@ func (t *Trace) Window(from, to float64) *Trace {
 	return out
 }
 
-// Filter returns a new trace with only the jobs for which keep returns true.
-// IDs are re-densified; submit times are preserved.
-func (t *Trace) Filter(keep func(Job) bool) *Trace {
-	out := New(t.System)
-	for _, j := range t.Jobs {
-		if keep(j) {
-			out.Jobs = append(out.Jobs, j)
-		}
-	}
-	for i := range out.Jobs {
-		out.Jobs[i].ID = i
-	}
-	return out
-}
-
 // Clone returns a deep copy of the trace.
 func (t *Trace) Clone() *Trace {
 	out := New(t.System)
@@ -247,15 +232,6 @@ func (t *Trace) ArrivalIntervals() []float64 {
 		out[i-1] = t.Jobs[i].Submit - t.Jobs[i-1].Submit
 	}
 	return out
-}
-
-// TotalCoreHours returns the sum of per-job core-hours.
-func (t *Trace) TotalCoreHours() float64 {
-	sum := 0.0
-	for i := range t.Jobs {
-		sum += t.Jobs[i].CoreHours()
-	}
-	return sum
 }
 
 // Merge overlays other's jobs onto t's system, returning a new combined

@@ -69,14 +69,22 @@ while [ "$i" -le "$SESSIONS" ]; do
     i=$((i + 1))
 done
 
-# Phase 2: resume load on those sessions and SIGKILL the server mid-wave.
+# Phase 2: resume load on those sessions and SIGKILL the server mid-wave:
+# twinload fires the kill once half of the wave's requests are answered.
 # The load driver tolerates failures after the kill fires (that's the
-# point); what it must NOT see is an error before it.
+# point); what it must NOT see is an error before it. A kill that cut no
+# session hit an idle server and tested nothing, so it fails the run.
 echo "crashtest: resuming load, killing server pid $SERVER mid-wave" >&2
 "$TMP/twinload" -url "http://$ADDR" -sessions "$SESSIONS" -submits "$SUBMITS" -workers "$WORKERS" \
-    -resume -kill-pid "$SERVER" -kill-after 20ms
+    -resume -kill-pid "$SERVER" >"$TMP/wave.log" || WAVE=$?
+cat "$TMP/wave.log"
+[ "${WAVE:-0}" -eq 0 ] || { echo "crashtest: FAIL: the resumed wave failed before the kill" >&2; exit 1; }
 wait "$SERVER" 2>/dev/null || true
 SERVER=""
+if ! grep -q 'sessions cut off by the kill' "$TMP/wave.log"; then
+    echo "crashtest: FAIL: the kill cut no session of the resumed wave" >&2
+    exit 1
+fi
 echo "crashtest: server killed; restarting over $STATE" >&2
 
 # Phase 3: restart and verify recovery.
